@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .rings import (
     Ring,
     SquarefreeModulus,
     build_ring,
+    env_int,
 )
 from .spectrum import fixed_place_status, maximal_annihilating, min_primes
 from .tables import load_table_file
@@ -48,16 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(message)
 
 
-def _max_factors() -> int:
-    raw = os.environ.get(ENV_MAX_FACTORS)
-    if raw is None:
-        return DEFAULT_MAX_FACTORS
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_MAX_FACTORS
-
-
 def _add_ring_args(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--zn", type=int, metavar="N", help="the ring of integers modulo a squarefree N")
@@ -66,7 +56,7 @@ def _add_ring_args(p: argparse.ArgumentParser) -> None:
 
 
 def _ring_from_args(args: argparse.Namespace) -> Ring:
-    cap = _max_factors()
+    cap = env_int(ENV_MAX_FACTORS, DEFAULT_MAX_FACTORS)
     if args.zn is not None:
         return build_ring(SquarefreeModulus(args.zn), max_factors=cap)
     if args.fields is not None:
@@ -272,11 +262,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     suites = _parse_suites(args.suites)
     registry = load_registry()
+    cap = env_int(ENV_MAX_FACTORS, DEFAULT_MAX_FACTORS)
 
     any_unregistered = False
     totals = {"confirmed": 0, "violated": 0, "violated_registered": 0, "not_applicable": 0}
     for n in moduli:
-        ring = build_ring(SquarefreeModulus(n), max_factors=_max_factors())
+        ring = build_ring(SquarefreeModulus(n), max_factors=cap)
         report = run_verification(
             ring, suites=suites, seed=args.seed, per_signature_cap=args.pair_cap, registry=registry
         )

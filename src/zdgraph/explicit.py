@@ -10,26 +10,15 @@ it is checking.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TooManyElements
 from .graphs import GraphView, Vertex, _MinCostFlow, gamma_vertex
-from .rings import Ring, annihilating_ideals, ideal_product
+from .rings import Ring, annihilating_ideals, env_int, ideal_product
 
 DEFAULT_EXPLICIT_CAP = 4096
 ENV_EXPLICIT_CAP = "ZDGRAPH_EXPLICIT_CAP"
-
-
-def explicit_cap() -> int:
-    raw = os.environ.get(ENV_EXPLICIT_CAP)
-    if raw is None:
-        return DEFAULT_EXPLICIT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_EXPLICIT_CAP
 
 
 @dataclass(frozen=True)
@@ -51,7 +40,7 @@ class ExplicitGraph:
 
 def materialize(G: GraphView, cap: int | None = None) -> ExplicitGraph:
     """Expand a compressed graph into one node per vertex."""
-    limit = cap if cap is not None else explicit_cap()
+    limit = cap if cap is not None else env_int(ENV_EXPLICIT_CAP, DEFAULT_EXPLICIT_CAP)
     n = G.vertex_count()
     if n > limit:
         raise TooManyElements(n, limit)
@@ -69,7 +58,7 @@ def gamma_from_multiplication(ring: Ring, cap: int | None = None) -> ExplicitGra
     Edges come from testing a*b == 0 over all element pairs, so this is an
     independent oracle for the compressed construction.
     """
-    limit = cap if cap is not None else explicit_cap()
+    limit = cap if cap is not None else env_int(ENV_EXPLICIT_CAP, DEFAULT_EXPLICIT_CAP)
     if ring.size > limit:
         raise TooManyElements(ring.size, limit)
     zero = ring.zero()

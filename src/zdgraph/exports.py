@@ -6,9 +6,9 @@ import json
 import os
 from pathlib import Path
 
-from .explicit import materialize
-from .graphs import GraphView, Vertex, vertex_label
-from .rings import indices_of, render_support
+from .explicit import ExplicitGraph, materialize
+from .graphs import GraphView, vertex_label
+from .rings import render_support
 
 EXPORT_FORMAT = 1
 
@@ -23,7 +23,7 @@ def compressed_nodes(G: GraphView) -> list[dict]:
         {
             "id": i,
             "mask": m,
-            "support": render_support(indices_of(m)),
+            "support": render_support(m),
             "weight": G.weights[i],
         }
         for i, m in enumerate(G.classes)
@@ -39,22 +39,20 @@ def compressed_edges(G: GraphView) -> list[list[int]]:
     return out
 
 
-def explicit_nodes(G: GraphView, cap: int | None = None) -> list[dict]:
-    eg = materialize(G, cap)
+def explicit_nodes(G: GraphView, eg: ExplicitGraph) -> list[dict]:
     return [
         {
             "id": i,
             "mask": v.mask,
             "copy": v.copy,
-            "support": render_support(indices_of(v.mask)),
+            "support": render_support(v.mask),
             "label": vertex_label(G, v),
         }
         for i, v in enumerate(eg.labels)
     ]
 
 
-def explicit_edges(G: GraphView, cap: int | None = None) -> list[list[int]]:
-    eg = materialize(G, cap)
+def explicit_edges(eg: ExplicitGraph) -> list[list[int]]:
     out = []
     for i in range(eg.n):
         for j in sorted(eg.adj[i]):
@@ -74,8 +72,9 @@ def graph_to_json(G: GraphView, compressed: bool = True, cap: int | None = None)
         doc["nodes"] = compressed_nodes(G)
         doc["edges"] = compressed_edges(G)
     else:
-        doc["nodes"] = explicit_nodes(G, cap)
-        doc["edges"] = explicit_edges(G, cap)
+        eg = materialize(G, cap)
+        doc["nodes"] = explicit_nodes(G, eg)
+        doc["edges"] = explicit_edges(eg)
     return doc
 
 
@@ -100,7 +99,7 @@ def graph_to_dot(G: GraphView, compressed: bool = True, cap: int | None = None) 
         eg = materialize(G, cap)
         for i, v in enumerate(eg.labels):
             lines.append(f"  n{i} [label={_quote(vertex_label(G, v))}];")
-        for i, j in explicit_edges(G, cap):
+        for i, j in explicit_edges(eg):
             lines.append(f"  n{i} -- n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -22,7 +22,6 @@ from .rings import (
     Ideal,
     Ring,
     annihilating_ideals,
-    indices_of,
     iter_bits,
     render_support,
 )
@@ -42,7 +41,7 @@ class Vertex:
     copy: int = 0
 
     def render(self) -> str:
-        s = "S=" + render_support(indices_of(self.mask))
+        s = "S=" + render_support(self.mask)
         return s if self.copy == 0 else f"{s}#{self.copy}"
 
 
@@ -137,19 +136,17 @@ def gamma_vertex(ring: Ring, a: Element) -> Vertex:
     mask = a.support_mask
     if mask == 0 or mask == ring.full_mask:
         raise ValueError(f"{a} is not a nonzero zero divisor")
-    idx = sorted(iter_bits(mask))
     rank = 0
-    for i in idx:
+    for i in iter_bits(mask):
         rank = rank * (ring.qs[i] - 1) + (a.coords[i] - 1)
     return Vertex(mask, rank)
 
 
 def vertex_element(ring: Ring, v: Vertex) -> Element:
     """Inverse of gamma_vertex: decode the copy rank back into coordinates."""
-    idx = sorted(iter_bits(v.mask))
     coords = [0] * ring.k
     rank = v.copy
-    for i in reversed(idx):
+    for i in reversed(list(iter_bits(v.mask))):
         r = ring.qs[i] - 1
         coords[i] = rank % r + 1
         rank //= r
@@ -166,7 +163,7 @@ def ag_vertex(ring: Ring, ideal: Ideal) -> Vertex:
 def vertex_label(G: GraphView, v: Vertex) -> str:
     if G.kind == GAMMA:
         return str(vertex_element(G.ring, v))
-    return Ideal(indices_of(v.mask)).render(G.ring)
+    return Ideal(v.mask).render(G.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +196,12 @@ def distance(G: GraphView, u: Vertex, v: Vertex) -> int:
         return 0
     if u.mask & v.mask == 0:
         return 1
-    dist = class_distances(G, G.class_index(u.mask))
     if u.mask == v.mask:
         # distinct copies are never adjacent; go out to any neighbor and back
-        best = Infinite
-        adj = G.adjacency()
-        if adj[G.class_index(u.mask)]:
-            best = 2
-        if best is Infinite:
+        if G.degree_of_mask(u.mask) == 0:
             raise Disconnected((u.render(), v.render()))
-        return best
-    d = dist[G.class_index(v.mask)]
+        return 2
+    d = class_distances(G, G.class_index(u.mask))[G.class_index(v.mask)]
     if d is Infinite:
         raise Disconnected((u.render(), v.render()))
     return int(d)
@@ -674,11 +666,11 @@ def _validate_domination(G: GraphView, witness: list[Vertex], total: bool) -> No
         dominated_by_neighbor = any(m & t == 0 for t in chosen_masks)
         if total:
             if not dominated_by_neighbor:
-                raise AssertionError(f"class {render_support(indices_of(m))} not totally dominated")
+                raise AssertionError(f"class {render_support(m)} not totally dominated")
         else:
             fully_in = counts.get(m, 0) == G.weights[i]
             if not (dominated_by_neighbor or fully_in):
-                raise AssertionError(f"class {render_support(indices_of(m))} not dominated")
+                raise AssertionError(f"class {render_support(m)} not dominated")
 
 
 # ---------------------------------------------------------------------------
@@ -702,23 +694,23 @@ def retract_check(ring: Ring) -> RetractReport:
     """Check that I -> sz_closure(I) retracts the ideal graph onto itself."""
     members = annihilating_ideals(ring)
     failures: list[str] = []
-    closed = {I.mask: sz_closure(ring, I) for I in members}
+    closed = {I.mask: sz_closure(ring, I).mask for I in members}
 
-    is_identity = all(closed[I.mask].mask == I.mask for I in members)
+    is_identity = all(phi == m for m, phi in closed.items())
     image_is_fixed = True
     for I in members:
         phi = closed[I.mask]
-        if sz_closure(ring, phi).mask != phi.mask:
+        if sz_closure(ring, Ideal(phi)).mask != phi:
             image_is_fixed = False
             failures.append(f"closure of {I.render(ring)} is not fixed")
-    image_is_all = {closed[I.mask].mask for I in members} == {I.mask for I in members}
+    image_is_all = set(closed.values()) == set(closed)
 
     preserves = True
     for a in members:
         for b in members:
             if a.mask < b.mask and a.mask & b.mask == 0:
                 pa, pb = closed[a.mask], closed[b.mask]
-                if pa.mask & pb.mask != 0 or pa.mask == pb.mask:
+                if pa & pb != 0 or pa == pb:
                     preserves = False
                     failures.append(f"edge {a.render(ring)}-{b.render(ring)} not preserved")
     return RetractReport(

@@ -4,16 +4,18 @@ Every finite reduced commutative ring treated here is a product of prime
 fields F_q1 x ... x F_qk.  Elements are coordinate tuples, ideals are
 determined by the set of coordinates on which they are allowed to be
 nonzero, and all graph and topology work downstream runs on those
-support sets.
+supports, stored as bitmask ints.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
+    InputFormatError,
     NotSquarefree,
     RingConstructionError,
     TooManyElements,
@@ -24,12 +26,24 @@ DEFAULT_MAX_FACTORS = 20
 DEFAULT_ELEMENT_CAP = 10**6
 
 
+def env_int(name: str, default: int) -> int:
+    """An integer setting from the environment; an unparsable value is an input error."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputFormatError(f"{name} must be an integer, got {raw!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # support masks
 #
-# Supports are frozensets of 0-based coordinate indices in the public API and
-# bitmask ints internally.  Rendering is 1-based to match the usual I_{1,3}
-# notation.
+# A support is a bitmask int: bit i set means coordinate i (0-based) may be
+# nonzero.  Ideals, subsets of Min(R) and graph classes all carry masks; the
+# frozenset views exist only for the public `support`/`members` properties.
+# Rendering is 1-based to match the usual I_{1,3} notation.
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -40,14 +54,7 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def indices_of(mask: int) -> frozenset[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(iter_bits(mask))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -59,8 +66,8 @@ def iter_bits(mask: int) -> Iterator[int]:
         i += 1
 
 
-def render_support(support: Iterable[int]) -> str:
-    inside = ",".join(str(i + 1) for i in sorted(support))
+def render_support(mask: int) -> str:
+    inside = ",".join(str(i + 1) for i in iter_bits(mask))
     return "{" + inside + "}"
 
 
@@ -115,7 +122,7 @@ class Element:
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.coords) if c != 0)
+        return indices_of(self.support_mask)
 
     @property
     def support_mask(self) -> int:
@@ -129,22 +136,19 @@ class Element:
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal of a product of fields: all elements supported inside `support`."""
+    """An ideal of a product of fields: all elements supported inside `mask`."""
 
-    support: frozenset[int]
+    mask: int
 
     @property
-    def mask(self) -> int:
-        return mask_of(self.support)
+    def support(self) -> frozenset[int]:
+        return indices_of(self.mask)
 
     def render(self, ring: "Ring | None" = None) -> str:
         if ring is not None and ring.modulus is not None:
-            gen = 1
-            for i in range(ring.k):
-                if i not in self.support:
-                    gen *= ring.qs[i]
+            gen = math.prod(ring.qs[i] for i in iter_bits(ring.full_mask & ~self.mask))
             return f"({gen % ring.modulus})"
-        return "I" + render_support(self.support)
+        return "I" + render_support(self.mask)
 
     def __str__(self) -> str:
         return self.render()
@@ -288,7 +292,7 @@ class Ring:
             if j < 0:
                 return
 
-    def class_size(self, support_mask: int, distinct_elements: bool = True) -> int:
+    def class_size(self, support_mask: int) -> int:
         """Number of elements with the given exact support."""
         return math.prod(self.qs[i] - 1 for i in iter_bits(support_mask))
 
@@ -373,16 +377,16 @@ def build_ring(spec: RingSpec, max_factors: int = DEFAULT_MAX_FACTORS) -> Ring:
 
 def annihilator_element(ring: Ring, a: Element) -> Ideal:
     """Ann(a) = everything supported off the support of a."""
-    return Ideal(indices_of(ring.full_mask & ~a.support_mask))
+    return Ideal(ring.full_mask & ~a.support_mask)
 
 
 def annihilator_ideal(ring: Ring, ideal: Ideal) -> Ideal:
-    return Ideal(indices_of(ring.full_mask & ~ideal.mask))
+    return Ideal(ring.full_mask & ~ideal.mask)
 
 
 def principal_ideal(ring: Ring, a: Element) -> Ideal:
     """(a): for a product of fields this is everything supported inside supp(a)."""
-    return Ideal(a.support)
+    return Ideal(a.support_mask)
 
 
 def ideal_kind(ring: Ring, ideal: Ideal) -> str:
@@ -402,7 +406,7 @@ def enumerate_ideals(ring: Ring, max_factors: int = DEFAULT_MAX_FACTORS) -> list
     """All 2^k ideals in mask order: the zero ideal first, the whole ring last."""
     if ring.k > max_factors:
         raise TooManyFactors(ring.k, max_factors)
-    return [Ideal(indices_of(m)) for m in range(1 << ring.k)]
+    return [Ideal(m) for m in range(1 << ring.k)]
 
 
 def annihilating_ideals(ring: Ring, max_factors: int = DEFAULT_MAX_FACTORS) -> list[Ideal]:
@@ -411,15 +415,15 @@ def annihilating_ideals(ring: Ring, max_factors: int = DEFAULT_MAX_FACTORS) -> l
 
 def ideal_product(ring: Ring, a: Ideal, b: Ideal) -> Ideal:
     # IJ = I n J when every factor is a field
-    return Ideal(a.support & b.support)
+    return Ideal(a.mask & b.mask)
 
 
 def ideal_sum(ring: Ring, a: Ideal, b: Ideal) -> Ideal:
-    return Ideal(a.support | b.support)
+    return Ideal(a.mask | b.mask)
 
 
 def ideal_contains(outer: Ideal, inner: Ideal) -> bool:
-    return inner.support <= outer.support
+    return inner.mask & ~outer.mask == 0
 
 
 def ideal_algebra(ring: Ring, a: Ideal, b: Ideal) -> IdealAlgebra:
@@ -427,18 +431,18 @@ def ideal_algebra(ring: Ring, a: Ideal, b: Ideal) -> IdealAlgebra:
         product=ideal_product(ring, a, b),
         sum=ideal_sum(ring, a, b),
         left_in_right=ideal_contains(b, a),
-        equal=a.support == b.support,
+        equal=a.mask == b.mask,
     )
 
 
 def elements_of_ideal(ring: Ring, ideal: Ideal, cap: int = DEFAULT_ELEMENT_CAP) -> list[Element]:
     """Explicit member list, for small rings and oracle work."""
-    size = math.prod(ring.qs[i] for i in ideal.support)
+    idx = list(iter_bits(ideal.mask))
+    size = math.prod(ring.qs[i] for i in idx)
     if size > cap:
         raise TooManyElements(size, cap)
     members = []
     coords = [0] * ring.k
-    idx = sorted(ideal.support)
 
     def rec(j: int):
         if j == len(idx):

@@ -21,8 +21,6 @@ from .rings import (
     annihilating_ideals,
     annihilator_element,
     indices_of,
-    iter_bits,
-    mask_of,
     render_support,
 )
 
@@ -42,35 +40,35 @@ class MinPrime:
 
 @dataclass(frozen=True)
 class TopSet:
-    """A subset of Min(R), carried with the size of the ambient space."""
+    """A subset of Min(R) as a mask over prime indices, with the size of the space."""
 
-    members: frozenset[int]
+    mask: int
     space_size: int
 
     @property
-    def mask(self) -> int:
-        return mask_of(self.members)
+    def members(self) -> frozenset[int]:
+        return indices_of(self.mask)
 
     def union(self, other: "TopSet") -> "TopSet":
-        return TopSet(self.members | other.members, self.space_size)
+        return TopSet(self.mask | other.mask, self.space_size)
 
     def intersect(self, other: "TopSet") -> "TopSet":
-        return TopSet(self.members & other.members, self.space_size)
+        return TopSet(self.mask & other.mask, self.space_size)
 
     def complement(self) -> "TopSet":
-        return TopSet(frozenset(range(self.space_size)) - self.members, self.space_size)
+        return TopSet(((1 << self.space_size) - 1) & ~self.mask, self.space_size)
 
     def is_subset(self, other: "TopSet") -> bool:
-        return self.members <= other.members
+        return self.mask & ~other.mask == 0
 
     def is_empty(self) -> bool:
-        return not self.members
+        return self.mask == 0
 
     def is_full(self) -> bool:
-        return len(self.members) == self.space_size
+        return self.mask == (1 << self.space_size) - 1
 
     def render(self) -> str:
-        return render_support(self.members)
+        return render_support(self.mask)
 
 
 class PlaceStatus(str, Enum):
@@ -89,29 +87,24 @@ class BourbakiSet:
 
 def min_primes(ring: Ring) -> list[MinPrime]:
     full = ring.full_mask
-    return [MinPrime(i, Ideal(indices_of(full & ~(1 << i)))) for i in range(ring.k)]
+    return [MinPrime(i, Ideal(full & ~(1 << i))) for i in range(ring.k)]
 
 
 def whole_space(ring: Ring) -> TopSet:
-    return TopSet(frozenset(range(ring.k)), ring.k)
-
-
-def _support_mask(x: Element | Ideal) -> int:
-    if isinstance(x, Element):
-        return x.support_mask
-    return x.mask
-
-
-def zero_set(ring: Ring, x: Element | Ideal, within: TopSet | None = None) -> TopSet:
-    """h_Y(x): the primes of Y that contain x."""
-    y = within if within is not None else whole_space(ring)
-    return TopSet(frozenset(i for i in y.members if not (_support_mask(x) >> i) & 1), ring.k)
+    return TopSet(ring.full_mask, ring.k)
 
 
 def cozero_set(ring: Ring, x: Element | Ideal, within: TopSet | None = None) -> TopSet:
-    """h_Y^c(x): the primes of Y that miss x."""
+    """h_Y^c(x): the primes of Y that miss x, i.e. P_i with x_i != 0."""
     y = within if within is not None else whole_space(ring)
-    return TopSet(frozenset(i for i in y.members if (_support_mask(x) >> i) & 1), ring.k)
+    support = x.support_mask if isinstance(x, Element) else x.mask
+    return TopSet(y.mask & support, ring.k)
+
+
+def zero_set(ring: Ring, x: Element | Ideal, within: TopSet | None = None) -> TopSet:
+    """h_Y(x): the primes of Y that contain x, i.e. P_i with x_i == 0."""
+    y = within if within is not None else whole_space(ring)
+    return TopSet(y.mask & ~cozero_set(ring, x).mask, ring.k)
 
 
 def base_open_sets(ring: Ring, within: TopSet | None = None) -> Iterable[TopSet]:
@@ -121,11 +114,10 @@ def base_open_sets(ring: Ring, within: TopSet | None = None) -> Iterable[TopSet]
     matching idempotents), so the base is enumerated over supports instead of
     over all ring elements.
     """
-    y = within if within is not None else whole_space(ring)
-    ymask = y.mask
+    ymask = (within if within is not None else whole_space(ring)).mask
     sub = ymask
     while True:
-        yield TopSet(indices_of(sub), ring.k)
+        yield TopSet(sub, ring.k)
         if sub == 0:
             break
         sub = (sub - 1) & ymask
@@ -134,40 +126,39 @@ def base_open_sets(ring: Ring, within: TopSet | None = None) -> Iterable[TopSet]
 def interior(ring: Ring, a: TopSet, within: TopSet | None = None) -> TopSet:
     """Union of the base open sets contained in `a`."""
     out = 0
-    amask = a.mask
     for b in base_open_sets(ring, within):
-        if b.mask & ~amask == 0:
+        if b.is_subset(a):
             out |= b.mask
-    return TopSet(indices_of(out), ring.k)
+    return TopSet(out, ring.k)
 
 
 def closure(ring: Ring, a: TopSet, within: TopSet | None = None) -> TopSet:
     y = within if within is not None else whole_space(ring)
-    inner = interior(ring, TopSet(y.members - a.members, ring.k), within)
-    return TopSet(y.members - inner.members, ring.k)
+    inner = interior(ring, TopSet(y.mask & ~a.mask, ring.k), within)
+    return TopSet(y.mask & ~inner.mask, ring.k)
 
 
 def is_dense(ring: Ring, a: TopSet, within: TopSet | None = None) -> bool:
     y = within if within is not None else whole_space(ring)
-    return closure(ring, a, within).members == y.members
+    return closure(ring, a, within).mask == y.mask
 
 
 def is_singleton(a: TopSet) -> bool:
-    return len(a.members) == 1
+    return a.mask != 0 and a.mask & (a.mask - 1) == 0
 
 
 def is_isolated_point(ring: Ring, p: int, within: TopSet | None = None) -> bool:
     """A point is isolated when its singleton is open."""
-    single = TopSet(frozenset([p]), ring.k)
-    return interior(ring, single, within).members == single.members
+    single = TopSet(1 << p, ring.k)
+    return interior(ring, single, within) == single
 
 
 def kernel(ring: Ring, a: TopSet) -> Ideal:
-    """Intersection of the primes in `a`; the whole ring when `a` is empty."""
-    mask = ring.full_mask
-    for i in a.members:
-        mask &= ring.full_mask & ~(1 << i)
-    return Ideal(indices_of(mask))
+    """Intersection of the primes in `a`; the whole ring when `a` is empty.
+
+    P_i is supported off coordinate i, so the intersection drops every bit of `a`.
+    """
+    return Ideal(ring.full_mask & ~a.mask)
 
 
 def bourbaki_primes(ring: Ring) -> BourbakiSet:
@@ -180,7 +171,7 @@ def bourbaki_primes(ring: Ring) -> BourbakiSet:
     witnesses = []
     for p in min_primes(ring):
         w = ring.idempotent(p.index)
-        if annihilator_element(ring, w).support == p.ideal.support:
+        if annihilator_element(ring, w) == p.ideal:
             primes.append(p)
             witnesses.append(w)
     return BourbakiSet(tuple(primes), tuple(witnesses))
@@ -190,9 +181,9 @@ def fixed_place_status(ring: Ring) -> tuple[PlaceStatus, Ideal]:
     """Classify the ring by the intersection of its annihilator primes."""
     b = bourbaki_primes(ring)
     if not b.primes:
-        return PlaceStatus.ANTI_FIXED_PLACE, Ideal(indices_of(ring.full_mask))
-    ker = kernel(ring, TopSet(frozenset(p.index for p in b.primes), ring.k))
-    if not ker.support:
+        return PlaceStatus.ANTI_FIXED_PLACE, Ideal(ring.full_mask)
+    ker = kernel(ring, TopSet(sum(1 << p.index for p in b.primes), ring.k))
+    if ker.mask == 0:
         return PlaceStatus.FIXED_PLACE, ker
     return PlaceStatus.NEITHER, ker
 
@@ -208,7 +199,7 @@ def sz_closure(ring: Ring, ideal: Ideal) -> Ideal:
 
 
 def is_sz_ideal(ring: Ring, ideal: Ideal) -> bool:
-    return sz_closure(ring, ideal).support == ideal.support
+    return sz_closure(ring, ideal) == ideal
 
 
 def is_prime_ideal(ring: Ring, ideal: Ideal) -> bool:
@@ -222,11 +213,10 @@ def maximal_annihilating(ring: Ring) -> list[Ideal]:
     members = annihilating_ideals(ring)
     if not members:
         raise NoAnnihilatingIdeals(f"ring with factors {ring.qs} has no annihilating ideals")
-    out = []
-    for I in members:
-        if not any(I.support < J.support for J in members):
-            out.append(I)
-    return out
+    # I lies strictly inside J when its mask is a proper submask of J's
+    return [
+        I for I in members if not any(I.mask != J.mask and I.mask & ~J.mask == 0 for J in members)
+    ]
 
 
 def prime_annihilating(ring: Ring) -> list[Ideal]:

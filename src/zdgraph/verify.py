@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,9 +43,9 @@ from .rings import (
     Ring,
     annihilating_ideals,
     elements_of_ideal,
+    env_int,
     ideal_contains,
     ideal_product,
-    indices_of,
     iter_bits,
 )
 from .spectrum import (
@@ -281,8 +280,8 @@ def _na(check_id: str, witness: str, note: str) -> CheckRecord:
 
 
 def _predict_distance(ring: Ring, mu: int, mv: int) -> int:
-    cu = cozero_set(ring, Ideal(indices_of(mu)))
-    cv = cozero_set(ring, Ideal(indices_of(mv)))
+    cu = cozero_set(ring, Ideal(mu))
+    cv = cozero_set(ring, Ideal(mv))
     if cu.intersect(cv).is_empty():
         return 1
     if not cu.union(cv).is_full():
@@ -291,29 +290,17 @@ def _predict_distance(ring: Ring, mu: int, mv: int) -> int:
 
 
 def _predict_orthogonal(ring: Ring, mu: int, mv: int) -> bool:
-    cu = cozero_set(ring, Ideal(indices_of(mu)))
-    cv = cozero_set(ring, Ideal(indices_of(mv)))
+    cu = cozero_set(ring, Ideal(mu))
+    cv = cozero_set(ring, Ideal(mv))
     return cu.intersect(cv).is_empty() and cu.union(cv).is_full()
 
 
 def _predict_on_triangle(ring: Ring, mask: int) -> bool:
-    return not is_singleton(zero_set(ring, Ideal(indices_of(mask))))
+    return not is_singleton(zero_set(ring, Ideal(mask)))
 
 
 def _two_is_unit(ring: Ring) -> bool:
     return 2 not in ring.qs
-
-
-def _common_neighbor_vertices(G: GraphView, mu: int, mv: int) -> int:
-    rest = G.full_mask & ~(mu | mv)
-    if rest == 0:
-        return 0
-    if G.kind == "gamma":
-        prod = 1
-        for i in iter_bits(rest):
-            prod *= G.ring.qs[i]
-        return prod - 1
-    return (1 << _popcount(rest)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +326,7 @@ def _support_generator(ring: Ring, mask: int):
 def _ideal_product_is_zero(ring: Ring, mu: int, mv: int) -> bool:
     zero = ring.zero()
     result = ring.mul(_support_generator(ring, mu), _support_generator(ring, mv)) == zero
-    iu, iv = Ideal(indices_of(mu)), Ideal(indices_of(mv))
+    iu, iv = Ideal(mu), Ideal(mv)
     size = 1
     for i in iter_bits(mu):
         size *= ring.qs[i]
@@ -437,7 +424,8 @@ def _suite_girth(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, 
         if two_unit and meet and dense:
             out.append(_rec("girth.gamma.six", 6, gi, w, gi == 6))
         if gi == 5:
-            cond = meet and _common_neighbor_vertices(Gg, mu, mv) == 1
+            # vertices supported off both masks are exactly the common neighbors
+            cond = meet and Gg.degree_of_mask(mu | mv) == 1
             out.append(
                 _rec(
                     "girth.gamma.isolated-point",
@@ -482,16 +470,6 @@ def _suite_girth(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, 
     )
 
 
-def _domination_k_cap() -> int:
-    raw = os.environ.get(ENV_DOMINATION_K_CAP)
-    if raw is None:
-        return DEFAULT_DOMINATION_K_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_DOMINATION_K_CAP
-
-
 def _suite_domination(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, out: list) -> None:
     k = ring.k
     ids = (
@@ -502,7 +480,7 @@ def _suite_domination(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: 
         "domination.bound",
         "domination.finite",
     )
-    if k > _domination_k_cap():
+    if k > env_int(ENV_DOMINATION_K_CAP, DEFAULT_DOMINATION_K_CAP):
         note = f"skipped: {k} factors exceeds the domination cap ({ENV_DOMINATION_K_CAP})"
         for cid in ids:
             out.append(_na(cid, "", note))

@@ -210,3 +210,18 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "variable, argv",
+        [
+            ("ZDGRAPH_MAX_FACTORS", ["inspect", "--zn", "30"]),
+            ("ZDGRAPH_EXPLICIT_CAP", ["export", "--zn", "30", "--graph", "gamma", "--explicit"]),
+            ("ZDGRAPH_DOMINATION_K_CAP", ["verify", "--zn", "30", "--suites", "domination"]),
+        ],
+    )
+    def test_unparsable_environment_integer_is_input_error(self, capsys, monkeypatch, variable, argv):
+        monkeypatch.setenv(variable, "abc")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert variable in err and "'abc'" in err
+        assert out == ""

@@ -74,7 +74,7 @@ class TestConstruction:
         assert Vertex(0b101, 2).render() == "S={1,3}#2"
 
     def test_ag_vertices_are_supports(self, z30, f2_4):
-        v = ag_vertex(z30, Ideal(frozenset({0, 2})))
+        v = ag_vertex(z30, Ideal(0b101))
         assert v == Vertex(0b101)
         # modulus rings label ideals by a principal generator,
         # pure products fall back to the support form

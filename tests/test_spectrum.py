@@ -28,7 +28,7 @@ from zdgraph.spectrum import base_open_sets, is_isolated_point, is_singleton, wh
 def test_min_primes_are_coordinate_vanishing(z30):
     mps = min_primes(z30)
     assert [p.index for p in mps] == [0, 1, 2]
-    assert mps[0].ideal == Ideal(frozenset({1, 2}))
+    assert mps[0].ideal == Ideal(0b110)
     assert [p.render(z30) for p in mps] == ["(2)", "(3)", "(5)"]
     # each minimal prime is the annihilator of the matching idempotent
     for p in mps:
@@ -46,7 +46,7 @@ def test_zero_and_cozero_partition(z30):
 
 
 def test_zero_set_relative_to_subspace(z30):
-    y = TopSet(frozenset({0, 1}), 3)
+    y = TopSet(0b011, 3)
     x = z30.from_residue(10)
     assert zero_set(z30, x, within=y).members == frozenset({0})
     assert cozero_set(z30, x, within=y).members == frozenset({1})
@@ -57,7 +57,7 @@ def test_topology_is_discrete(z30):
     space = whole_space(z30)
     opens = {o.members for o in base_open_sets(z30)}
     assert frozenset({0}) in opens and frozenset({0, 2}) in opens
-    a = TopSet(frozenset({1, 2}), 3)
+    a = TopSet(0b110, 3)
     assert interior(z30, a).members == a.members
     assert closure(z30, a).members == a.members
     assert is_dense(z30, space)
@@ -67,16 +67,16 @@ def test_topology_is_discrete(z30):
 
 
 def test_singletons():
-    assert is_singleton(TopSet(frozenset({2}), 3))
-    assert not is_singleton(TopSet(frozenset(), 3))
-    assert not is_singleton(TopSet(frozenset({0, 1}), 3))
+    assert is_singleton(TopSet(0b100, 3))
+    assert not is_singleton(TopSet(0, 3))
+    assert not is_singleton(TopSet(0b011, 3))
 
 
 def test_kernel_is_support_complement(z30):
-    a = TopSet(frozenset({0, 2}), 3)  # hull of these two primes
-    assert kernel(z30, a) == Ideal(frozenset({1}))
-    assert kernel(z30, TopSet(frozenset(), 3)) == Ideal(frozenset({0, 1, 2}))
-    assert kernel(z30, whole_space(z30)) == Ideal(frozenset())
+    a = TopSet(0b101, 3)  # hull of these two primes
+    assert kernel(z30, a) == Ideal(0b010)
+    assert kernel(z30, TopSet(0, 3)) == Ideal(0b111)
+    assert kernel(z30, whole_space(z30)) == Ideal(0)
 
 
 def test_bourbaki_primes_and_witnesses(z30):
@@ -91,7 +91,7 @@ def test_bourbaki_primes_and_witnesses(z30):
 def test_fixed_place(z30):
     status, kern = fixed_place_status(z30)
     assert status is PlaceStatus.FIXED_PLACE
-    assert kern == Ideal(frozenset())
+    assert kern == Ideal(0)
     assert str(PlaceStatus.FIXED_PLACE) == "PlaceStatus.FIXED_PLACE" or status.value == "FixedPlace"
 
 
@@ -99,7 +99,7 @@ def test_fixed_place_for_fields():
     f5 = build_ring(SquarefreeModulus(5))
     status, kern = fixed_place_status(f5)
     assert status is PlaceStatus.FIXED_PLACE
-    assert kern == Ideal(frozenset())
+    assert kern == Ideal(0)
 
 
 def test_sz_closure_is_identity(z30):
