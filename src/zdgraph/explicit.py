@@ -10,11 +10,12 @@ it is checking.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TooManyElements
-from .graphs import GraphView, Vertex, _MinCostFlow, gamma_vertex
+from .graphs import GraphView, Vertex, gamma_vertex
 from .rings import Ring, annihilating_ideals, env_int, ideal_product
 
 DEFAULT_EXPLICIT_CAP = 4096
@@ -157,30 +158,53 @@ def scan_pendant(eg: ExplicitGraph, u: int) -> bool:
 def cycle_through_pair_flow(eg: ExplicitGraph, u: int, v: int) -> float:
     """Exact answer by min-cost two vertex-disjoint paths on the full graph.
 
-    Every vertex is split into entry and exit halves; intermediates carry
-    capacity one, the endpoints two, and each directed edge costs one.  Two
-    units from u to v then cost exactly the shortest cycle through the pair.
+    Every vertex i is split into an entry node 2i and an exit node 2i + 1;
+    intermediates carry capacity one, the endpoints two, and each directed
+    edge costs one.  Two units from u to v then cost exactly the shortest
+    cycle through the pair.  Each unit follows a shortest residual path
+    found by queue-based Bellman-Ford, a solver of its own so that a flaw in
+    the engine's flow code cannot pass here too.
     """
     if u == v:
         raise ValueError("need two distinct vertices")
-    n = eg.n
-    net = _MinCostFlow(2 * n)
+    # residual[a][b] = [capacity, cost]; no arc has a reverse twin in the
+    # split graph, so one dict entry per direction is enough
+    residual: list[dict[int, list[int]]] = [{} for _ in range(2 * eg.n)]
 
-    def node_in(i: int) -> int:
-        return 2 * i
+    def arc(a: int, b: int, cap: int, cost: int) -> None:
+        residual[a][b] = [cap, cost]
+        residual[b][a] = [0, -cost]
 
-    def node_out(i: int) -> int:
-        return 2 * i + 1
-
-    for i in range(n):
-        net.add_edge(node_in(i), node_out(i), 2 if i in (u, v) else 1, 0)
-    for i in range(n):
+    for i in range(eg.n):
+        arc(2 * i, 2 * i + 1, 2 if i in (u, v) else 1, 0)
         for j in eg.adj[i]:
-            net.add_edge(node_out(i), node_in(j), 1, 1)
-    flow, cost = net.min_cost_flow(node_in(u), node_out(v), 2)
-    if flow < 2:
-        return math.inf
-    return float(cost)
+            arc(2 * i + 1, 2 * j, 1, 1)
+    source, sink = 2 * u, 2 * v + 1
+    total = 0
+    for _ in range(2):
+        dist = {source: 0}
+        prev: dict[int, int] = {}
+        queue, queued = deque([source]), {source}
+        while queue:
+            a = queue.popleft()
+            queued.discard(a)
+            for b, (cap, cost) in residual[a].items():
+                if cap > 0 and dist[a] + cost < dist.get(b, math.inf):
+                    dist[b] = dist[a] + cost
+                    prev[b] = a
+                    if b not in queued:
+                        queue.append(b)
+                        queued.add(b)
+        if sink not in dist:
+            return math.inf
+        b = sink
+        while b != source:
+            a = prev[b]
+            residual[a][b][0] -= 1
+            residual[b][a][0] += 1
+            b = a
+        total += dist[sink]
+    return float(total)
 
 
 def cycle_through_pair_enumeration(eg: ExplicitGraph, u: int, v: int, cap: int = 8, max_paths: int = 500_000) -> float:

@@ -31,12 +31,7 @@ def compressed_nodes(G: GraphView) -> list[dict]:
 
 
 def compressed_edges(G: GraphView) -> list[list[int]]:
-    out = []
-    for i, mi in enumerate(G.classes):
-        for j in range(i + 1, len(G.classes)):
-            if mi & G.classes[j] == 0:
-                out.append([i, j])
-    return out
+    return [[i, j] for i, row in enumerate(G.adjacency()) for j in row if i < j]
 
 
 def explicit_nodes(G: GraphView, eg: ExplicitGraph) -> list[dict]:
@@ -109,8 +104,12 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a torn file."""
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, target)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

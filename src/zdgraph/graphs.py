@@ -383,18 +383,38 @@ class _MinCostFlow:
 
 @dataclass(frozen=True)
 class GirthResult:
-    """Shortest cycle through a vertex pair; length is inf when none exists."""
+    """Shortest cycle through a vertex pair; length is inf when none exists.
+
+    One flow solve is always exact, so `bound_used` is always 2 and
+    `escalated` always False.  Both stay as fields because the benchmark
+    trace reads them.
+    """
 
     length: float
     cycle: tuple[Vertex, ...] | None
-    bound_used: int
-    escalated: bool
+    bound_used: int = 2
+    escalated: bool = False
 
 
-def _solve_girth(G: GraphView, u: Vertex, v: Vertex, bound: int) -> tuple[float, tuple[Vertex, ...] | None]:
+def girth_through(G: GraphView, u: Vertex, v: Vertex) -> GirthResult:
+    """Length of the shortest simple cycle through both u and v.
+
+    Computed as the minimum total length of two internally vertex-disjoint
+    u-v paths: two units of min-cost flow through the class network, each
+    class split into an entry and an exit node.  A class's capacity is its
+    copies left over after u and v, clipped at 2.  The clip is exact: every
+    arc between classes costs one, so a unit that passed one class twice
+    would contain a positive-cost cycle, and a min-cost flow carries none.
+    Each of the two units therefore uses a class at most once.
+    """
+    G.check_vertex(u)
+    G.check_vertex(v)
+    if u == v:
+        raise ValueError("girth_through needs two distinct vertices")
+
     cs = G.classes
-    n = 2 + 2 * len(cs)
-    net = _MinCostFlow(n)
+    adj = G.adjacency()
+    net = _MinCostFlow(2 + 2 * len(cs))
     source, sink = 0, 1
 
     def node_in(i: int) -> int:
@@ -403,15 +423,8 @@ def _solve_girth(G: GraphView, u: Vertex, v: Vertex, bound: int) -> tuple[float,
     def node_out(i: int) -> int:
         return 3 + 2 * i
 
-    caps = []
-    for i, m in enumerate(cs):
-        c = G.weights[i]
-        if u.mask == m:
-            c -= 1
-        if v.mask == m:
-            c -= 1
-        c = min(c, bound)
-        caps.append(c)
+    caps = [min(2, w - (m == u.mask) - (m == v.mask)) for m, w in zip(cs, G.weights)]
+    for i, c in enumerate(caps):
         if c > 0:
             net.add_edge(node_in(i), node_out(i), c, 0)
     if u.mask & v.mask == 0:
@@ -423,13 +436,13 @@ def _solve_girth(G: GraphView, u: Vertex, v: Vertex, bound: int) -> tuple[float,
             net.add_edge(source, node_in(i), 2, 1)
         if m & v.mask == 0:
             net.add_edge(node_out(i), sink, 2, 1)
-        for j, mj in enumerate(cs):
-            if i != j and caps[j] > 0 and m & mj == 0:
+        for j in adj[i]:
+            if caps[j] > 0:
                 net.add_edge(node_out(i), node_in(j), 2, 1)
 
     flow, cost = net.min_cost_flow(source, sink, 2)
     if flow < 2:
-        return Infinite, None
+        return GirthResult(Infinite, None)
 
     walks = net.extract_unit_paths(source, sink, 2)
     # allocate distinct copies per class across the whole cycle
@@ -459,42 +472,7 @@ def _solve_girth(G: GraphView, u: Vertex, v: Vertex, bound: int) -> tuple[float,
             raise AssertionError("girth witness contains a non-edge")
     if len(cycle) != cost:
         raise AssertionError("girth witness length disagrees with flow cost")
-    return float(cost), cycle
-
-
-def girth_through(G: GraphView, u: Vertex, v: Vertex, expansion_bound: int = 3) -> GirthResult:
-    """Length of the shortest simple cycle through both u and v.
-
-    Computed as the minimum total length of two internally vertex-disjoint
-    u-v paths.  Class capacities are clipped at `expansion_bound`; a cycle of
-    length L visits any one class at most L // 2 times because copies are
-    never adjacent, so whenever the answer violates that bound the search
-    re-runs with a larger clip until the result is provably exact.
-    """
-    G.check_vertex(u)
-    G.check_vertex(v)
-    if u == v:
-        raise ValueError("girth_through needs two distinct vertices")
-
-    true_max = 0
-    for i, m in enumerate(G.classes):
-        c = G.weights[i] - (1 if u.mask == m else 0) - (1 if v.mask == m else 0)
-        true_max = max(true_max, c)
-
-    bound = max(1, expansion_bound)
-    escalated = False
-    while True:
-        length, cycle = _solve_girth(G, u, v, bound)
-        if bound >= true_max:
-            break
-        if not math.isinf(length) and length // 2 <= bound:
-            break
-        # a finite answer that overuses some class may be beatable by a cycle
-        # that revisits it more; no answer at all means the clip might have
-        # severed every route, so lift it entirely
-        escalated = True
-        bound = min(true_max, max(bound + 1, int(length // 2))) if not math.isinf(length) else true_max
-    return GirthResult(length, cycle, bound, escalated)
+    return GirthResult(float(cost), cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +512,7 @@ def domination(G: GraphView, total: bool = False, node_budget: int = 500_000) ->
     ONE, FULL = 1, 2
     level = [0] * nclasses
     cover_count = [0] * nclasses  # how many chosen classes are disjoint from this one
-    index = {m: i for i, m in enumerate(cs)}
-    singleton_ids = [index[1 << b] for b in range(G.ring.k)]
+    singleton_ids = [G.class_index(1 << b) for b in range(G.ring.k)]
 
     def is_covered(i: int) -> bool:
         if cover_count[i] > 0:
@@ -548,17 +525,13 @@ def domination(G: GraphView, total: bool = False, node_budget: int = 500_000) ->
         was_chosen = level[i] > 0
         level[i] = max(level[i], lev)
         if not was_chosen:
-            mi = cs[i]
-            for j, mj in enumerate(cs):
-                if mi & mj == 0:
-                    cover_count[j] += 1
+            for j in G.adjacency()[i]:
+                cover_count[j] += 1
 
     def undo_choice(i: int, prev: int) -> None:
         if prev == 0 and level[i] > 0:
-            mi = cs[i]
-            for j, mj in enumerate(cs):
-                if mi & mj == 0:
-                    cover_count[j] -= 1
+            for j in G.adjacency()[i]:
+                cover_count[j] -= 1
         level[i] = prev
 
     def choice_cost(i: int, lev: int) -> int:
@@ -580,9 +553,7 @@ def domination(G: GraphView, total: bool = False, node_budget: int = 500_000) ->
         return len(pack)
 
     # incumbent: one copy of every single-coordinate class
-    best_cost = 0
-    for i in singleton_ids:
-        best_cost += 1
+    best_cost = len(singleton_ids)
     best_levels = [0] * nclasses
     for i in singleton_ids:
         best_levels[i] = ONE
@@ -594,11 +565,11 @@ def domination(G: GraphView, total: bool = False, node_budget: int = 500_000) ->
         comp = full & ~cs[i]
         opts: list[tuple[int, int]] = []
         for b in iter_bits(comp):
-            opts.append((index[1 << b], ONE))
+            opts.append((G.class_index(1 << b), ONE))
         if not total:
             sub = comp
             while sub:
-                j = index[sub]
+                j = G.class_index(sub)
                 if not (sub & (sub - 1) == 0 and ws[j] == 1):  # singleton with one copy is already above
                     opts.append((j, FULL))
                 sub = (sub - 1) & comp

@@ -115,6 +115,15 @@ class TestVerify:
         doc = json.loads(path.read_text())
         assert doc["summary"]["violated"] == 0
 
+    def test_failed_report_write_leaves_no_temp_file(self, capsys, tmp_path):
+        target = tmp_path / "D"
+        target.mkdir()
+        code, _, err = run(capsys, "verify", "--zn", "30", "--report", str(target))
+        assert code == EXIT_INPUT
+        assert "zdgraph:" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["D"]
+        assert list(target.iterdir()) == []
+
     def test_suite_subset_and_unknown(self, capsys):
         code, _, _ = run(capsys, "verify", "--zn", "30", "--suites", "radius,retract")
         assert code == EXIT_OK

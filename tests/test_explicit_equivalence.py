@@ -155,3 +155,18 @@ def test_girth_infinite_agrees_on_k2():
             flow = cycle_through_pair_flow(eg, i, j)
             predicted = girth_through(G, eg.labels[i], eg.labels[j]).length
             assert (math.isinf(flow) and math.isinf(predicted)) or flow == predicted
+
+
+@pytest.mark.parametrize("qs", [(2, 3, 5), (2, 3, 7)])
+def test_girth_every_pair_matches_flow_oracle(qs):
+    G = build_gamma(build_ring(PrimeFactors(qs)))
+    eg = materialize(G)
+    lengths = []
+    for i in range(eg.n):
+        for j in range(i + 1, eg.n):
+            predicted = girth_through(G, eg.labels[i], eg.labels[j]).length
+            assert predicted == cycle_through_pair_flow(eg, i, j)
+            lengths.append(predicted)
+    # a pendant vertex lies on no cycle, so the no-cycle answer is covered too
+    assert any(math.isinf(x) for x in lengths)
+    assert any(not math.isinf(x) for x in lengths)

@@ -1,4 +1,4 @@
-"""Byte pins on reports and explicit exports.
+"""Byte pins on reports and exports, and value pins on domination.
 
 Any change to these bytes fails here.  A change made on purpose regenerates
 the hashes, bumps the generator version and says so in CHANGES.md.
@@ -8,7 +8,7 @@ import hashlib
 
 import pytest
 
-from zdgraph import SquarefreeModulus, build_ag, build_gamma, build_ring, run_verification
+from zdgraph import SquarefreeModulus, build_ag, build_gamma, build_ring, domination, run_verification
 from zdgraph.exports import graph_to_dot, graph_to_json, json_bytes
 
 # sha256 of run_verification(ring, seed=0).to_json_bytes(), in canonical_corpus() order
@@ -48,6 +48,144 @@ EXPLICIT_EXPORT_SHA256 = {
 }
 
 
+# sha256 of the compressed export bytes, as `zdgraph export --zn N --graph G --format F` prints them
+COMPRESSED_EXPORT_SHA256 = {
+    (30, "gamma", "json"): "5d6e241c979976fc50b6640396cf30c5bf712ff5d43d292adeb0dbf04d8fd2f6",
+    (30, "gamma", "dot"): "15092b7bfbfefeb8d463e331191fb1538cc17df432fc0e8538fa4a382634fc3e",
+    (30, "ag", "json"): "a4f5a104a6f5a8f9cc622c71744c93c2e1a5604cf248d90425742097ad19092b",
+    (30, "ag", "dot"): "8f0ee9dde505c8a22f26a1654bde23157af136dc2397c810f7104d0ba4f5629c",
+    (105, "gamma", "json"): "313069f4c787a11a9a229d803fc1ec6578e8271de51e77827992f884a6ddeb72",
+    (105, "gamma", "dot"): "d1dc6f3614559b21800b90fb1dd6fe088f1b779a8a619ba381a3191687697e3e",
+    (105, "ag", "json"): "1ff080c751afe560d9d9435a1540939332d2db3d53c4f12193b3f8717127be4e",
+    (105, "ag", "dot"): "c8da2c32317aebb9dc591e9636348e3f1ef7175f8fe96cd78daa444e8ba72b95",
+}
+
+# (size, nodes, root_lower_bound, witness) of domination(), in canonical_corpus() order;
+# per ring: gamma, gamma --total, ag, ag --total
+DOMINATION_PINS = (
+    ("2x3", (
+        (1, 2, 1, ("S={1}",)),
+        (2, 0, 2, ("S={1}", "S={2}")),
+        (1, 2, 1, ("S={1}",)),
+        (2, 0, 2, ("S={1}", "S={2}")),
+    )),
+    ("2x5", (
+        (1, 2, 1, ("S={1}",)),
+        (2, 0, 2, ("S={1}", "S={2}")),
+        (1, 2, 1, ("S={1}",)),
+        (2, 0, 2, ("S={1}", "S={2}")),
+    )),
+    ("3x5", (
+        (2, 2, 1, ("S={1}", "S={2}")),
+        (2, 0, 2, ("S={1}", "S={2}")),
+        (1, 2, 1, ("S={1}",)),
+        (2, 0, 2, ("S={1}", "S={2}")),
+    )),
+    ("2x3x5", (
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+    )),
+    ("2x3x7", (
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+    )),
+    ("2x3x11", (
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+    )),
+    ("2x5x7", (
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+    )),
+    ("3x5x7", (
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+    )),
+    ("2x3x5x7", (
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+    )),
+    ("3x7x11", (
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+    )),
+    ("2x3x7x11", (
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+    )),
+    ("2x2", (
+        (1, 2, 1, ("S={1}",)),
+        (2, 0, 2, ("S={1}", "S={2}")),
+        (1, 2, 1, ("S={1}",)),
+        (2, 0, 2, ("S={1}", "S={2}")),
+    )),
+    ("3x3", (
+        (2, 2, 1, ("S={1}", "S={2}")),
+        (2, 0, 2, ("S={1}", "S={2}")),
+        (1, 2, 1, ("S={1}",)),
+        (2, 0, 2, ("S={1}", "S={2}")),
+    )),
+    ("3x5", (
+        (2, 2, 1, ("S={1}", "S={2}")),
+        (2, 0, 2, ("S={1}", "S={2}")),
+        (1, 2, 1, ("S={1}",)),
+        (2, 0, 2, ("S={1}", "S={2}")),
+    )),
+    ("5x7", (
+        (2, 2, 1, ("S={1}", "S={2}")),
+        (2, 0, 2, ("S={1}", "S={2}")),
+        (1, 2, 1, ("S={1}",)),
+        (2, 0, 2, ("S={1}", "S={2}")),
+    )),
+    ("2x2x2", (
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+    )),
+    ("3x3x3", (
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+    )),
+    ("2x3x7", (
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+        (3, 0, 3, ("S={1}", "S={2}", "S={3}")),
+    )),
+    ("2x2x2x2", (
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+    )),
+    ("2x2x3x3", (
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+        (4, 0, 4, ("S={1}", "S={2}", "S={3}", "S={4}")),
+    )),
+)
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -68,12 +206,37 @@ def test_golden_table_covers_the_corpus(corpus):
     assert len(CORPUS_REPORT_SHA256) == len(corpus)
 
 
-@pytest.mark.parametrize("n, kind, fmt", sorted(EXPLICIT_EXPORT_SHA256))
-def test_explicit_export_bytes(n, kind, fmt):
+def _export_bytes(n: int, kind: str, fmt: str, compressed: bool) -> bytes:
     ring = build_ring(SquarefreeModulus(n))
     G = build_gamma(ring) if kind == "gamma" else build_ag(ring)
     if fmt == "json":
-        data = json_bytes(graph_to_json(G, compressed=False))
-    else:
-        data = graph_to_dot(G, compressed=False).encode("utf-8")
-    assert _sha256(data) == EXPLICIT_EXPORT_SHA256[(n, kind, fmt)]
+        return json_bytes(graph_to_json(G, compressed=compressed))
+    return graph_to_dot(G, compressed=compressed).encode("utf-8")
+
+
+@pytest.mark.parametrize("n, kind, fmt", sorted(EXPLICIT_EXPORT_SHA256))
+def test_explicit_export_bytes(n, kind, fmt):
+    assert _sha256(_export_bytes(n, kind, fmt, compressed=False)) == EXPLICIT_EXPORT_SHA256[(n, kind, fmt)]
+
+
+@pytest.mark.parametrize("n, kind, fmt", sorted(COMPRESSED_EXPORT_SHA256))
+def test_compressed_export_bytes(n, kind, fmt):
+    assert _sha256(_export_bytes(n, kind, fmt, compressed=True)) == COMPRESSED_EXPORT_SHA256[(n, kind, fmt)]
+
+
+@pytest.mark.parametrize(
+    "index",
+    range(len(DOMINATION_PINS)),
+    ids=[f"{i:02d}-{name}" for i, (name, _) in enumerate(DOMINATION_PINS)],
+)
+def test_domination_pins(corpus, index):
+    name, expected = DOMINATION_PINS[index]
+    ring = corpus[index]
+    assert "x".join(map(str, ring.qs)) == name
+    got = []
+    for build in (build_gamma, build_ag):
+        G = build(ring)
+        for total in (False, True):
+            r = domination(G, total=total)
+            got.append((r.size, r.nodes, r.root_lower_bound, tuple(v.render() for v in r.witness)))
+    assert tuple(got) == expected

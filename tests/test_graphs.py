@@ -7,6 +7,7 @@ from zdgraph import (
     GAMMA,
     Disconnected,
     EmptyGraph,
+    GraphView,
     Infinite,
     PrimeFactors,
     SquarefreeModulus,
@@ -254,6 +255,18 @@ class TestDomination:
                 d = domination(g).size
                 dt = domination(g, total=True).size
                 assert d <= dt <= 2 * d
+
+    def test_no_search_and_no_adjacency_from_three_factors(self, monkeypatch):
+        # the root bound meets the incumbent, so the 3^k adjacency is never built
+        def refuse(self):
+            raise AssertionError("domination built the class adjacency")
+
+        monkeypatch.setattr(GraphView, "adjacency", refuse)
+        ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)), max_factors=12)
+        for build in (build_gamma, build_ag):
+            for total in (False, True):
+                res = domination(build(ring, max_factors=12), total=total)
+                assert (res.size, res.nodes, res.root_lower_bound) == (12, 0, 12)
 
 
 class TestRetract:
