@@ -24,6 +24,7 @@ from .rings import (
     DEFAULT_MAX_FACTORS,
     PrimeFactors,
     Ring,
+    RingSpec,
     SquarefreeModulus,
     build_ring,
     env_int,
@@ -55,10 +56,14 @@ def _add_ring_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--table", metavar="FILE", help="JSON file with addition and multiplication tables")
 
 
+def _build_ring(spec: RingSpec) -> Ring:
+    """Build a ring under the factor cap that ZDGRAPH_MAX_FACTORS sets."""
+    return build_ring(spec, env_int(ENV_MAX_FACTORS, DEFAULT_MAX_FACTORS))
+
+
 def _ring_from_args(args: argparse.Namespace) -> Ring:
-    cap = env_int(ENV_MAX_FACTORS, DEFAULT_MAX_FACTORS)
     if args.zn is not None:
-        return build_ring(SquarefreeModulus(args.zn), max_factors=cap)
+        return _build_ring(SquarefreeModulus(args.zn))
     if args.fields is not None:
         try:
             primes = tuple(int(part) for part in args.fields.split(",") if part.strip())
@@ -66,8 +71,8 @@ def _ring_from_args(args: argparse.Namespace) -> Ring:
             raise InputFormatError(f"--fields expects comma-separated integers, got {args.fields!r}")
         if not primes:
             raise InputFormatError("--fields needs at least one prime")
-        return build_ring(PrimeFactors(primes), max_factors=cap)
-    return build_ring(load_table_file(args.table), max_factors=cap)
+        return _build_ring(PrimeFactors(primes))
+    return _build_ring(load_table_file(args.table))
 
 
 def _ring_title(ring: Ring) -> str:
@@ -262,12 +267,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     suites = _parse_suites(args.suites)
     registry = load_registry()
-    cap = env_int(ENV_MAX_FACTORS, DEFAULT_MAX_FACTORS)
 
     any_unregistered = False
     totals = {"confirmed": 0, "violated": 0, "violated_registered": 0, "not_applicable": 0}
     for n in moduli:
-        ring = build_ring(SquarefreeModulus(n), max_factors=cap)
+        ring = _build_ring(SquarefreeModulus(n))
         report = run_verification(
             ring, suites=suites, seed=args.seed, per_signature_cap=args.pair_cap, registry=registry
         )

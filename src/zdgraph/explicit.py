@@ -20,6 +20,9 @@ from .rings import Ring, annihilating_ideals, env_int, ideal_product
 
 DEFAULT_EXPLICIT_CAP = 4096
 ENV_EXPLICIT_CAP = "ZDGRAPH_EXPLICIT_CAP"
+ENUMERATION_MAX_LENGTH = 8
+ENUMERATION_MAX_PATHS = 500_000
+EXHAUSTIVE_MAX_VERTICES = 24
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,9 @@ class ExplicitGraph:
         return sum(len(a) for a in self.adj) // 2
 
 
-def materialize(G: GraphView, cap: int | None = None) -> ExplicitGraph:
+def materialize(G: GraphView) -> ExplicitGraph:
     """Expand a compressed graph into one node per vertex."""
-    limit = cap if cap is not None else env_int(ENV_EXPLICIT_CAP, DEFAULT_EXPLICIT_CAP)
+    limit = env_int(ENV_EXPLICIT_CAP, DEFAULT_EXPLICIT_CAP)
     n = G.vertex_count()
     if n > limit:
         raise TooManyElements(n, limit)
@@ -53,17 +56,17 @@ def materialize(G: GraphView, cap: int | None = None) -> ExplicitGraph:
     return ExplicitGraph(G.kind, labels, adj)
 
 
-def gamma_from_multiplication(ring: Ring, cap: int | None = None) -> ExplicitGraph:
+def gamma_from_multiplication(ring: Ring) -> ExplicitGraph:
     """Zero-divisor graph straight from the multiplication, no support theory.
 
     Edges come from testing a*b == 0 over all element pairs, so this is an
     independent oracle for the compressed construction.
     """
-    limit = cap if cap is not None else env_int(ENV_EXPLICIT_CAP, DEFAULT_EXPLICIT_CAP)
+    limit = env_int(ENV_EXPLICIT_CAP, DEFAULT_EXPLICIT_CAP)
     if ring.size > limit:
         raise TooManyElements(ring.size, limit)
     zero = ring.zero()
-    nonzero = [a for a in ring.elements(limit) if a != zero]
+    nonzero = [a for a in ring.elements() if a != zero]
     pair_zero = [
         [ring.mul(a, b) == zero for b in nonzero] for a in nonzero
     ]
@@ -207,23 +210,29 @@ def cycle_through_pair_flow(eg: ExplicitGraph, u: int, v: int) -> float:
     return float(total)
 
 
-def cycle_through_pair_enumeration(eg: ExplicitGraph, u: int, v: int, cap: int = 8, max_paths: int = 500_000) -> float:
+def cycle_through_pair_enumeration(eg: ExplicitGraph, u: int, v: int) -> float:
     """Minimum cycle length through u and v by enumerating simple paths.
 
-    Returns inf when no cycle of length <= cap exists.  Only suitable for
-    small graphs; raises RuntimeError if the path census explodes.
+    Returns inf when no cycle of length <= ENUMERATION_MAX_LENGTH exists.
+    Each of the two u-v paths of a cycle is at least dist(u, v) long, so a
+    cycle within the cap has both paths no longer than the cap minus
+    dist(u, v); the search stops there and still sees every such pair.
+    Only suitable for small graphs; raises RuntimeError if the path census
+    explodes.
     """
     if u == v:
         raise ValueError("need two distinct vertices")
+    cap = ENUMERATION_MAX_LENGTH
+    limit = cap - bfs_distance(eg, u, v)
     paths: list[tuple[int, frozenset[int]]] = []
 
     def dfs(node: int, visited: set[int], length: int) -> None:
-        if len(paths) > max_paths:
+        if len(paths) > ENUMERATION_MAX_PATHS:
             raise RuntimeError("path enumeration exceeded budget")
         for nxt in eg.adj[node]:
             if nxt == v:
                 paths.append((length + 1, frozenset(visited - {u})))
-            elif nxt not in visited and length + 1 < cap:
+            elif nxt not in visited and length + 1 < limit:
                 visited.add(nxt)
                 dfs(nxt, visited, length + 1)
                 visited.remove(nxt)
@@ -232,7 +241,7 @@ def cycle_through_pair_enumeration(eg: ExplicitGraph, u: int, v: int, cap: int =
     paths.sort()
     best = math.inf
     for i, (l1, s1) in enumerate(paths):
-        if 2 * l1 >= best or l1 + 1 > cap:
+        if 2 * l1 >= best:
             break
         for l2, s2 in paths[i + 1 :]:
             if l1 + l2 >= best or l1 + l2 > cap:
@@ -247,10 +256,10 @@ def cycle_through_pair_enumeration(eg: ExplicitGraph, u: int, v: int, cap: int =
 # domination by subset enumeration
 
 
-def exhaustive_domination(eg: ExplicitGraph, total: bool = False, max_vertices: int = 24) -> tuple[int, tuple[int, ...]]:
+def exhaustive_domination(eg: ExplicitGraph, total: bool = False) -> tuple[int, tuple[int, ...]]:
     n = eg.n
-    if n > max_vertices:
-        raise TooManyElements(n, max_vertices)
+    if n > EXHAUSTIVE_MAX_VERTICES:
+        raise TooManyElements(n, EXHAUSTIVE_MAX_VERTICES)
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
             chosen = set(combo)

@@ -56,7 +56,7 @@ def explicit_edges(eg: ExplicitGraph) -> list[list[int]]:
     return out
 
 
-def graph_to_json(G: GraphView, compressed: bool = True, cap: int | None = None) -> dict:
+def graph_to_json(G: GraphView, compressed: bool = True) -> dict:
     doc = {
         "format": EXPORT_FORMAT,
         "graph": G.kind,
@@ -67,7 +67,7 @@ def graph_to_json(G: GraphView, compressed: bool = True, cap: int | None = None)
         doc["nodes"] = compressed_nodes(G)
         doc["edges"] = compressed_edges(G)
     else:
-        eg = materialize(G, cap)
+        eg = materialize(G)
         doc["nodes"] = explicit_nodes(G, eg)
         doc["edges"] = explicit_edges(eg)
     return doc
@@ -81,7 +81,7 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(G: GraphView, compressed: bool = True, cap: int | None = None) -> str:
+def graph_to_dot(G: GraphView, compressed: bool = True) -> str:
     lines = [f"graph {_graph_name(G)} {{"]
     lines.append("  node [shape=circle];")
     if compressed:
@@ -91,7 +91,7 @@ def graph_to_dot(G: GraphView, compressed: bool = True, cap: int | None = None) 
         for i, j in compressed_edges(G):
             lines.append(f"  n{i} -- n{j};")
     else:
-        eg = materialize(G, cap)
+        eg = materialize(G)
         for i, v in enumerate(eg.labels):
             lines.append(f"  n{i} [label={_quote(vertex_label(G, v))}];")
         for i, j in explicit_edges(eg):

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import Disconnected, EmptyGraph, IsolatedVertex, TooManyFactors
+from .errors import Disconnected, EmptyGraph, IsolatedVertex
 from .rings import (
-    DEFAULT_MAX_FACTORS,
     Element,
     Ideal,
     Ring,
@@ -31,6 +30,14 @@ GAMMA = "gamma"
 AG = "ag"
 
 Infinite = math.inf
+DOMINATION_NODE_BUDGET = 500_000
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """The nonempty submasks of `mask`, in ascending order."""
+    sub = 0
+    while sub := (sub - mask) & mask:
+        yield sub
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,10 @@ class Vertex:
 
 
 class GraphView:
-    """A compressed graph: classes are support masks, adjacency is disjointness."""
+    """A compressed graph: classes are support masks, adjacency is disjointness.
+
+    The classes are the masks 1 .. full - 1 in order, so class i has mask i + 1.
+    """
 
     def __init__(self, kind: str, ring: Ring):
         if ring.k < 2:
@@ -61,7 +71,6 @@ class GraphView:
             self.weights: tuple[int, ...] = tuple(ring.class_size(m) for m in self.classes)
         else:
             self.weights = (1,) * len(self.classes)
-        self._index = {m: i for i, m in enumerate(self.classes)}
         self._adj: list[list[int]] | None = None
 
     @property
@@ -69,10 +78,9 @@ class GraphView:
         return self.ring.full_mask
 
     def class_index(self, mask: int) -> int:
-        try:
-            return self._index[mask]
-        except KeyError:
-            raise ValueError(f"mask {mask:b} is not a vertex class of this graph") from None
+        if not 0 < mask < self.full_mask:
+            raise ValueError(f"mask {mask:b} is not a vertex class of this graph")
+        return mask - 1
 
     def weight(self, mask: int) -> int:
         return self.weights[self.class_index(mask)]
@@ -97,11 +105,10 @@ class GraphView:
         return (1 << bin(comp).count("1")) - 1
 
     def adjacency(self) -> list[list[int]]:
+        """Neighbor class indices of each class, ascending: the submasks of its complement."""
         if self._adj is None:
-            cs = self.classes
-            self._adj = [
-                [j for j, mj in enumerate(cs) if mi & mj == 0] for mi in cs
-            ]
+            full = self.full_mask
+            self._adj = [[sub - 1 for sub in _submasks(full & ~m)] for m in self.classes]
         return self._adj
 
     def vertices(self) -> Iterator[Vertex]:
@@ -115,15 +122,11 @@ class GraphView:
             raise ValueError(f"copy {v.copy} out of range for class {v.render()}")
 
 
-def build_gamma(ring: Ring, max_factors: int = DEFAULT_MAX_FACTORS) -> GraphView:
-    if ring.k > max_factors:
-        raise TooManyFactors(ring.k, max_factors)
+def build_gamma(ring: Ring) -> GraphView:
     return GraphView(GAMMA, ring)
 
 
-def build_ag(ring: Ring, max_factors: int = DEFAULT_MAX_FACTORS) -> GraphView:
-    if ring.k > max_factors:
-        raise TooManyFactors(ring.k, max_factors)
+def build_ag(ring: Ring) -> GraphView:
     return GraphView(AG, ring)
 
 
@@ -489,7 +492,7 @@ class DominationResult:
     root_lower_bound: int
 
 
-def domination(G: GraphView, total: bool = False, node_budget: int = 500_000) -> DominationResult:
+def domination(G: GraphView, total: bool = False) -> DominationResult:
     """Exact minimum (total) dominating set size via branch and bound.
 
     A class either contributes nothing, one copy, or all of its copies;
@@ -579,7 +582,7 @@ def domination(G: GraphView, total: bool = False, node_budget: int = 500_000) ->
     def search(cost: int) -> None:
         nonlocal best_cost, best_levels
         state["nodes"] += 1
-        if state["nodes"] > node_budget:
+        if state["nodes"] > DOMINATION_NODE_BUDGET:
             state["overflow"] = True
             return
         uncovered = [i for i in range(nclasses) if not is_covered(i)]
@@ -678,12 +681,12 @@ def retract_check(ring: Ring) -> RetractReport:
 
     preserves = True
     for a in members:
-        for b in members:
-            if a.mask < b.mask and a.mask & b.mask == 0:
-                pa, pb = closed[a.mask], closed[b.mask]
+        for b in _submasks(ring.full_mask & ~a.mask):
+            if a.mask < b:
+                pa, pb = closed[a.mask], closed[b]
                 if pa & pb != 0 or pa == pb:
                     preserves = False
-                    failures.append(f"edge {a.render(ring)}-{b.render(ring)} not preserved")
+                    failures.append(f"edge {a.render(ring)}-{Ideal(b).render(ring)} not preserved")
     return RetractReport(
         is_identity=is_identity,
         preserves_adjacency=preserves,

@@ -23,7 +23,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_FACTORS = 20
-DEFAULT_ELEMENT_CAP = 10**6
+ELEMENT_CAP = 10**6
 
 
 def env_int(name: str, default: int) -> int:
@@ -257,9 +257,9 @@ class Ring:
 
     # -- enumeration -----------------------------------------------------------
 
-    def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[Element]:
-        if self.size > cap:
-            raise TooManyElements(self.size, cap)
+    def elements(self) -> Iterator[Element]:
+        if self.size > ELEMENT_CAP:
+            raise TooManyElements(self.size, ELEMENT_CAP)
         coords = [0] * self.k
         while True:
             yield self.element(tuple(coords))
@@ -346,29 +346,30 @@ def _crt_basis(qs: tuple[int, ...], n: int) -> tuple[int, ...]:
 def build_ring(spec: RingSpec, max_factors: int = DEFAULT_MAX_FACTORS) -> Ring:
     """Build the coordinate form of the ring described by `spec`.
 
-    Fields and Z_2 are accepted here; graph constructors are where a ring
-    without zero divisors gets rejected.
+    This is the one place the factor cap is checked, for every kind of
+    spec; a `Ring` built directly is trusted.  Fields and Z_2 are accepted
+    here; graph constructors are where a ring without zero divisors gets
+    rejected.
     """
     if isinstance(spec, SquarefreeModulus):
-        primes = factor_squarefree(spec.n)
-        if len(primes) > max_factors:
-            raise TooManyFactors(len(primes), max_factors)
-        qs = tuple(sorted(primes))
-        return Ring(qs=qs, modulus=spec.n, _crt_basis=_crt_basis(qs, spec.n))
-    if isinstance(spec, PrimeFactors):
+        qs = tuple(sorted(factor_squarefree(spec.n)))
+        ring = Ring(qs=qs, modulus=spec.n, _crt_basis=_crt_basis(qs, spec.n))
+    elif isinstance(spec, PrimeFactors):
         if not spec.primes:
             raise RingConstructionError("a ring needs at least one prime factor")
         for p in spec.primes:
             if not _is_prime(p):
                 raise RingConstructionError(f"factor {p} is not prime")
-        if len(spec.primes) > max_factors:
-            raise TooManyFactors(len(spec.primes), max_factors)
-        return Ring(qs=tuple(spec.primes))
-    if isinstance(spec, TableRing):
+        ring = Ring(qs=tuple(spec.primes))
+    elif isinstance(spec, TableRing):
         from .tables import decompose_table_ring
 
-        return decompose_table_ring(spec, max_factors=max_factors)
-    raise RingConstructionError(f"unsupported ring specification {spec!r}")
+        ring = decompose_table_ring(spec)
+    else:
+        raise RingConstructionError(f"unsupported ring specification {spec!r}")
+    if ring.k > max_factors:
+        raise TooManyFactors(ring.k, max_factors)
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +403,13 @@ def is_annihilating(ring: Ring, ideal: Ideal) -> bool:
     return ideal_kind(ring, ideal) == "annihilating"
 
 
-def enumerate_ideals(ring: Ring, max_factors: int = DEFAULT_MAX_FACTORS) -> list[Ideal]:
+def enumerate_ideals(ring: Ring) -> list[Ideal]:
     """All 2^k ideals in mask order: the zero ideal first, the whole ring last."""
-    if ring.k > max_factors:
-        raise TooManyFactors(ring.k, max_factors)
     return [Ideal(m) for m in range(1 << ring.k)]
 
 
-def annihilating_ideals(ring: Ring, max_factors: int = DEFAULT_MAX_FACTORS) -> list[Ideal]:
-    return [I for I in enumerate_ideals(ring, max_factors) if is_annihilating(ring, I)]
+def annihilating_ideals(ring: Ring) -> list[Ideal]:
+    return [I for I in enumerate_ideals(ring) if is_annihilating(ring, I)]
 
 
 def ideal_product(ring: Ring, a: Ideal, b: Ideal) -> Ideal:
@@ -435,12 +434,12 @@ def ideal_algebra(ring: Ring, a: Ideal, b: Ideal) -> IdealAlgebra:
     )
 
 
-def elements_of_ideal(ring: Ring, ideal: Ideal, cap: int = DEFAULT_ELEMENT_CAP) -> list[Element]:
+def elements_of_ideal(ring: Ring, ideal: Ideal) -> list[Element]:
     """Explicit member list, for small rings and oracle work."""
     idx = list(iter_bits(ideal.mask))
     size = math.prod(ring.qs[i] for i in idx)
-    if size > cap:
-        raise TooManyElements(size, cap)
+    if size > ELEMENT_CAP:
+        raise TooManyElements(size, ELEMENT_CAP)
     members = []
     coords = [0] * ring.k
 

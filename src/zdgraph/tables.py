@@ -23,9 +23,8 @@ from .errors import (
     NotCommutative,
     NotReduced,
     NotUnital,
-    TooManyFactors,
 )
-from .rings import DEFAULT_MAX_FACTORS, Ring, TableRing, _is_prime
+from .rings import Ring, TableRing, _is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ def _find_zero(t: TableRing) -> int:
     raise NotAdditiveGroup("no additive identity found")
 
 
-def decompose_table_ring(t: TableRing, max_factors: int = DEFAULT_MAX_FACTORS) -> Ring:
+def decompose_table_ring(t: TableRing) -> Ring:
     """Split a table ring along primitive idempotents into prime fields.
 
     Factors are ordered by field size, ties broken by the smallest table
@@ -225,8 +224,6 @@ def decompose_table_ring(t: TableRing, max_factors: int = DEFAULT_MAX_FACTORS) -
 
     factors.sort(key=lambda item: (item[0], item[1]))
     qs = tuple(q for q, _, _ in factors)
-    if len(qs) > max_factors:
-        raise TooManyFactors(len(qs), max_factors)
 
     iso = []
     for x in range(n):
@@ -276,10 +273,6 @@ class TableOracle:
         mul = self.t.mul
         return frozenset(y for y in range(self.n) if mul[x][y] == self.zero)
 
-    def annihilator_of_set(self, S: frozenset[int]) -> frozenset[int]:
-        mul = self.t.mul
-        return frozenset(y for y in range(self.n) if all(mul[x][y] == self.zero for x in S))
-
     def zero_divisors(self) -> set[int]:
         """Nonzero elements with a nonzero annihilator."""
         out = set()
@@ -292,19 +285,6 @@ class TableOracle:
 
     def principal(self, x: int) -> frozenset[int]:
         return frozenset(self.t.mul[x])
-
-    def is_ideal(self, S: frozenset[int]) -> bool:
-        add, mul = self.t.add, self.t.mul
-        if self.zero not in S:
-            return False
-        for a in S:
-            for b in S:
-                if add[a][b] not in S:
-                    return False
-            for r in range(self.n):
-                if mul[a][r] not in S:
-                    return False
-        return True
 
     def all_ideals(self) -> list[frozenset[int]]:
         """Close the principal ideals under pairwise sum until a fixpoint."""

@@ -645,6 +645,8 @@ def run_verification(
         if bad:
             raise InputFormatError(f"unknown suites: {', '.join(bad)}")
         chosen = tuple(s for s in ALL_SUITES if s in set(suites))
+    if per_signature_cap < 1:
+        raise InputFormatError(f"the pair cap must be at least 1, got {per_signature_cap}")
     reg = registry if registry is not None else load_registry()
 
     records: list[CheckRecord] = []

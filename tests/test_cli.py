@@ -130,6 +130,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--zn", "30", "--suites", "bogus")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_pair_cap_below_one_is_input_error(self, capsys, cap):
+        code, out, err = run(capsys, "verify", "--zn", "30", "--pair-cap", cap)
+        assert code == EXIT_INPUT
+        assert f"pair cap must be at least 1, got {cap}" in err
+        assert "Traceback" not in err and out == ""
+
     def test_table_file(self, capsys, tmp_path):
         path = tmp_path / "z6.json"
         path.write_text(json.dumps(table_to_json(zn_tables(6))))
@@ -204,6 +211,14 @@ class TestBatch:
             assert code == EXIT_OK
         for name in ("zn0006.json", "zn0030.json", "zn0105.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_pair_cap_below_one_is_input_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "reports"
+        code, _, err = run(capsys, "batch", "--moduli", "6,30", "--out-dir", str(out_dir), "--pair-cap", "-2")
+        assert code == EXIT_INPUT
+        assert "pair cap must be at least 1, got -2" in err
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
 
 
 class TestTopLevel:

@@ -11,7 +11,6 @@ from zdgraph import (
     Infinite,
     PrimeFactors,
     SquarefreeModulus,
-    TooManyFactors,
     Vertex,
     ag_vertex,
     build_ag,
@@ -48,10 +47,6 @@ class TestConstruction:
             build_gamma(f7)
         with pytest.raises(EmptyGraph):
             build_ag(f7)
-
-    def test_factor_cap(self, z30):
-        with pytest.raises(TooManyFactors):
-            build_gamma(z30, max_factors=2)
 
     def test_vertex_and_edge_counts(self, z30):
         G = build_gamma(z30)
@@ -265,7 +260,7 @@ class TestDomination:
         ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)), max_factors=12)
         for build in (build_gamma, build_ag):
             for total in (False, True):
-                res = domination(build(ring, max_factors=12), total=total)
+                res = domination(build(ring), total=total)
                 assert (res.size, res.nodes, res.root_lower_bound) == (12, 0, 12)
 
 

@@ -21,6 +21,7 @@ from zdgraph import (
     ideal_sum,
     is_annihilating,
     principal_ideal,
+    zn_tables,
 )
 from zdgraph.rings import elements_of_ideal, ideal_kind, indices_of, mask_of, render_support
 
@@ -76,6 +77,10 @@ def test_factor_cap():
         build_ring(PrimeFactors((2,) * 21))
     with pytest.raises(TooManyFactors):
         build_ring(PrimeFactors((2, 2, 2)), max_factors=2)
+    # table input reaches the same single check, after decomposition
+    with pytest.raises(TooManyFactors) as exc:
+        build_ring(zn_tables(30), max_factors=2)
+    assert (exc.value.k, exc.value.cap) == (3, 2)
 
 
 def test_residue_labels_round_trip(z30):

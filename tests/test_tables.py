@@ -34,7 +34,7 @@ def test_zn_tables_shape():
 
 
 def test_decompose_z6():
-    ring = decompose_table_ring(zn_tables(6), 20)
+    ring = decompose_table_ring(zn_tables(6))
     assert ring.qs == (2, 3)
     assert ring.modulus is None
     # the primitive idempotents of Z6 are 3 and 4
@@ -45,15 +45,15 @@ def test_decompose_z6():
 
 def test_decompose_product_tables():
     t = product_tables((3, 5))
-    ring = decompose_table_ring(t, 20)
+    ring = decompose_table_ring(t)
     assert ring.qs == (3, 5)
     t2 = product_tables((2, 2))
-    assert decompose_table_ring(t2, 20).qs == (2, 2)
+    assert decompose_table_ring(t2).qs == (2, 2)
 
 
 def test_table_arithmetic_matches_source():
     t = zn_tables(15)
-    ring = decompose_table_ring(t, 20)
+    ring = decompose_table_ring(t)
     for x in range(15):
         for y in range(15):
             s = ring.add(ring.from_table_index(x), ring.from_table_index(y))
@@ -64,27 +64,27 @@ def test_table_arithmetic_matches_source():
 
 def test_rejects_nilpotents():
     with pytest.raises(NotReduced) as exc:
-        decompose_table_ring(zn_tables(4), 20)
+        decompose_table_ring(zn_tables(4))
     assert exc.value.witness == 2
     with pytest.raises(NotReduced):
-        decompose_table_ring(zn_tables(12), 20)
+        decompose_table_ring(zn_tables(12))
 
 
 def test_rejects_non_prime_field_factor():
     with pytest.raises(FactorNotPrimeField) as exc:
-        decompose_table_ring(TableRing(4, 1, GF4_ADD, GF4_MUL), 20)
+        decompose_table_ring(TableRing(4, 1, GF4_ADD, GF4_MUL))
     assert exc.value.order == 4
 
 
 def test_rejects_broken_structures():
     with pytest.raises(NotCommutative):
-        decompose_table_ring(TableRing(2, 1, ((0, 1), (1, 0)), ((0, 0), (1, 0))), 20)
+        decompose_table_ring(TableRing(2, 1, ((0, 1), (1, 0)), ((0, 0), (1, 0))))
     # an addition table that is not a group (no inverse for 1)
     with pytest.raises(NotAdditiveGroup):
-        decompose_table_ring(TableRing(2, 1, ((0, 1), (1, 1)), ((0, 0), (0, 1))), 20)
+        decompose_table_ring(TableRing(2, 1, ((0, 1), (1, 1)), ((0, 0), (0, 1))))
     # no multiplicative identity row
     with pytest.raises(NotUnital):
-        decompose_table_ring(TableRing(2, 1, ((0, 1), (1, 0)), ((0, 0), (0, 0))), 20)
+        decompose_table_ring(TableRing(2, 1, ((0, 1), (1, 0)), ((0, 0), (0, 0))))
 
 
 def test_json_round_trip(tmp_path):
