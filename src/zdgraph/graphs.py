@@ -10,8 +10,10 @@ interchangeable, which is what makes the compression exact.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -173,23 +175,52 @@ def vertex_label(G: GraphView, v: Vertex) -> str:
 # distance, eccentricity, radius
 
 
-def class_distances(G: GraphView, src: int) -> list[float]:
-    """BFS over classes from class index `src`; unreached classes get inf."""
-    adj = G.adjacency()
-    dist: list[float] = [Infinite] * len(G.classes)
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for i in frontier:
-            for j in adj[i]:
-                if dist[j] is Infinite:
-                    dist[j] = d
-                    nxt.append(j)
-        frontier = nxt
-    return dist
+@functools.cache
+def _lattice(k: int) -> tuple[str, tuple[int, ...], int]:
+    """Constants of the bitset BFS over the subsets of k coordinates.
+
+    A set of masks is one int whose bit m stands for mask m.  Returns the
+    format string that writes such a set as 2^k binary digits, the sets
+    HAS_i of masks with bit i set, and the set of proper nonempty masks.
+    """
+    size = 1 << k
+    has = []
+    for i in range(k):
+        step = 1 << i
+        x = ((1 << step) - 1) << step  # masks step .. 2 * step - 1
+        width = 2 * step
+        while width < size:
+            x |= x << width
+            width *= 2
+        has.append(x)
+    classes = (1 << (size - 1)) - 2  # bits 1 .. full - 1
+    return f"0{size}b", tuple(has), classes
+
+
+def class_distances(G: GraphView, src: int) -> list[int]:
+    """BFS over classes from class index `src`, as a list of level bitsets.
+
+    Level d has bit m set for each class mask m at distance d from the
+    source class.  A class's neighbors are the nonempty submasks of its
+    complement, so the next level is the downward closure of the
+    complemented frontier.  Writing the frontier as 2^k binary digits and
+    reversing them complements every mask at once (full - m == full ^ m);
+    the closure is one shift-and-OR per coordinate.
+    """
+    fmt, has, classes = _lattice(G.ring.k)
+    frontier = 1 << G.classes[src]
+    seen = frontier
+    levels = [frontier]
+    while seen != classes:
+        x = int(format(frontier, fmt)[::-1], 2)
+        for i, h in enumerate(has):
+            x |= (x & h) >> (1 << i)
+        frontier = x & classes & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        levels.append(frontier)
+    return levels
 
 
 def distance(G: GraphView, u: Vertex, v: Vertex) -> int:
@@ -204,25 +235,23 @@ def distance(G: GraphView, u: Vertex, v: Vertex) -> int:
         if G.degree_of_mask(u.mask) == 0:
             raise Disconnected((u.render(), v.render()))
         return 2
-    d = class_distances(G, G.class_index(u.mask))[G.class_index(v.mask)]
-    if d is Infinite:
-        raise Disconnected((u.render(), v.render()))
-    return int(d)
+    for d, level in enumerate(class_distances(G, G.class_index(u.mask))):
+        if level >> v.mask & 1:
+            return d
+    raise Disconnected((u.render(), v.render()))
 
 
 def class_eccentricity(G: GraphView, mask: int) -> int:
     """Eccentricity shared by every copy in the class."""
     i = G.class_index(mask)
-    dist = class_distances(G, i)
-    best = 0
-    for j, d in enumerate(dist):
-        if j == i:
-            continue
-        if d is Infinite:
-            raise Disconnected((Vertex(mask).render(), Vertex(G.classes[j]).render()))
-        best = max(best, int(d))
+    levels = class_distances(G, i)
+    unreached = _lattice(G.ring.k)[2] & ~functools.reduce(operator.or_, levels)
+    if unreached:
+        lowest = (unreached & -unreached).bit_length() - 1
+        raise Disconnected((Vertex(mask).render(), Vertex(lowest).render()))
+    best = len(levels) - 1
     if G.weights[i] >= 2:
-        if not G.adjacency()[i]:
+        if G.degree_of_mask(mask) == 0:
             raise Disconnected((Vertex(mask, 0).render(), Vertex(mask, 1).render()))
         best = max(best, 2)
     return best

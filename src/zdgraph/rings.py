@@ -27,14 +27,17 @@ ELEMENT_CAP = 10**6
 
 
 def env_int(name: str, default: int) -> int:
-    """An integer setting from the environment; an unparsable value is an input error."""
+    """A positive integer setting from the environment; any other value is an input error."""
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise InputFormatError(f"{name} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise InputFormatError(f"{name} must be at least 1, got {raw!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -249,3 +249,19 @@ class TestTopLevel:
         assert code == EXIT_INPUT
         assert variable in err and "'abc'" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "variable, argv",
+        [
+            ("ZDGRAPH_MAX_FACTORS", ["inspect", "--zn", "7"]),
+            ("ZDGRAPH_EXPLICIT_CAP", ["export", "--zn", "6", "--graph", "gamma", "--explicit"]),
+            ("ZDGRAPH_DOMINATION_K_CAP", ["verify", "--zn", "30", "--suites", "domination"]),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_environment_integer_below_one_is_input_error(self, capsys, monkeypatch, variable, argv, value):
+        monkeypatch.setenv(variable, value)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert variable in err and repr(value) in err
+        assert out == ""

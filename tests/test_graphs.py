@@ -16,6 +16,7 @@ from zdgraph import (
     build_ag,
     build_gamma,
     build_ring,
+    class_eccentricity,
     common_neighbor,
     degree,
     diameter,
@@ -33,6 +34,7 @@ from zdgraph import (
     vertex_element,
     vertex_label,
 )
+from zdgraph.graphs import class_distances
 from zdgraph.rings import Ideal
 
 
@@ -131,6 +133,71 @@ class TestEccentricity:
         for mask in G.classes:
             e = class_eccentricity(G, mask)
             assert e == (2 if bin(mask).count("1") == 1 else 3)
+
+
+def list_bfs_levels(G, src):
+    """Plain BFS over the adjacency lists: the set of class masks at each distance."""
+    adj = G.adjacency()
+    seen = {src}
+    levels = []
+    frontier = [src]
+    while frontier:
+        levels.append({G.classes[i] for i in frontier})
+        nxt = []
+        for i in frontier:
+            for j in adj[i]:
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return levels
+
+
+def masks_of(bitset):
+    return {m for m in range(bitset.bit_length()) if bitset >> m & 1}
+
+
+class TestBitsetBFS:
+    @pytest.mark.parametrize(
+        "qs",
+        [(2, 3, 5, 7, 11, 13), (2, 2, 3, 3, 5), (2, 3), (3, 3)],
+        ids=["F2xF3xF5xF7xF11xF13", "F2xF2xF3xF3xF5", "Z6", "F3xF3"],
+    )
+    def test_levels_match_list_bfs(self, qs):
+        ring = build_ring(PrimeFactors(qs))
+        for G in (build_gamma(ring), build_ag(ring)):
+            for i, mask in enumerate(G.classes):
+                expected = list_bfs_levels(G, i)
+                assert [masks_of(level) for level in class_distances(G, i)] == expected
+                ecc = len(expected) - 1
+                if G.weights[i] >= 2:
+                    ecc = max(ecc, 2)
+                assert eccentricity(G, Vertex(mask)) == ecc
+
+    def test_distance_of_every_class_pair_at_k5(self):
+        ring = build_ring(PrimeFactors((2, 2, 3, 3, 5)))
+        for G in (build_gamma(ring), build_ag(ring)):
+            assert min(G.weights) == 1  # the repeated primes give weight-one classes
+            for i, a in enumerate(G.classes):
+                dist = {m: d for d, level in enumerate(list_bfs_levels(G, i)) for m in level}
+                for b in G.classes:
+                    assert distance(G, Vertex(a), Vertex(b)) == dist[b]
+                    if a == b and G.weight(a) >= 2:
+                        assert distance(G, Vertex(a, 0), Vertex(a, 1)) == 2
+
+    def test_metrics_build_no_adjacency(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a BFS metric built the class adjacency")
+
+        monkeypatch.setattr(GraphView, "adjacency", refuse)
+        ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17, 19)))
+        for build in (build_gamma, build_ag):
+            G = build(ring)
+            assert (radius(G), diameter(G)) == (2, 3)
+            assert class_eccentricity(G, 0b1) == 2
+            assert class_eccentricity(G, 0b11) == 3
+            assert distance(G, Vertex(0b00011111), Vertex(0b11110001)) == 3
+            assert distance(G, Vertex(0b001), Vertex(0b011)) == 2
 
 
 class TestLocalStructure:

@@ -20,11 +20,19 @@ from zdgraph import (
     build_ag,
     build_gamma,
     build_ring,
+    diameter,
     distance,
     domination,
+    eccentricity,
     girth_through,
+    radius,
     sz_closure,
     vertex_element,
+)
+from zdgraph.explicit import (
+    bfs_distance,
+    bfs_eccentricity,
+    materialize,
 )
 from zdgraph.rings import (
     annihilator_element,
@@ -188,6 +196,28 @@ def test_vertex_element_decode_round_trip(data):
         from zdgraph import gamma_vertex
 
         assert gamma_vertex(ring, x) == v
+
+
+# Every graph over at most four of these factors has at most 1104 vertices,
+# under the default ZDGRAPH_EXPLICIT_CAP, so the explicit oracle can check it.
+@given(
+    ps=st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=4),
+    kind=st.sampled_from([GAMMA, AG]),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_bfs_metrics_match_explicit_oracle(ps, kind, data):
+    ring = build_ring(PrimeFactors(tuple(ps)))
+    G = build_gamma(ring) if kind == GAMMA else build_ag(ring)
+    eg = materialize(G)
+    ecc = [bfs_eccentricity(eg, i) for i in range(eg.n)]
+    assert [eccentricity(G, v) for v in eg.labels] == ecc
+    # bfs_radius and bfs_diameter are the min and max of these; reuse them
+    assert radius(G) == min(ecc)
+    assert diameter(G) == max(ecc)
+    i = data.draw(st.integers(0, eg.n - 1))
+    j = data.draw(st.integers(0, eg.n - 1))
+    assert distance(G, eg.labels[i], eg.labels[j]) == bfs_distance(eg, i, j)
 
 
 def test_json_report_render_has_no_floats():
