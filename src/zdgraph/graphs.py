@@ -11,7 +11,6 @@ interchangeable, which is what makes the compression exact.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -197,25 +196,38 @@ def _lattice(k: int) -> tuple[str, tuple[int, ...], int]:
     return f"0{size}b", tuple(has), classes
 
 
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _neighbors(lat: tuple[str, tuple[int, ...], int], bits: int) -> int:
+    """The classes disjoint from at least one class in the set `bits`.
+
+    Writing the set as 2^k binary digits and reversing them complements
+    every mask at once (full - m == full ^ m); the downward closure is one
+    shift-and-OR per coordinate.
+    """
+    fmt, has, classes = lat
+    x = int(format(bits, fmt)[::-1], 2)
+    for i, h in enumerate(has):
+        x |= (x & h) >> (1 << i)
+    return x & classes
+
+
 def class_distances(G: GraphView, src: int) -> list[int]:
     """BFS over classes from class index `src`, as a list of level bitsets.
 
     Level d has bit m set for each class mask m at distance d from the
     source class.  A class's neighbors are the nonempty submasks of its
-    complement, so the next level is the downward closure of the
-    complemented frontier.  Writing the frontier as 2^k binary digits and
-    reversing them complements every mask at once (full - m == full ^ m);
-    the closure is one shift-and-OR per coordinate.
+    complement, so the next level is `_neighbors` of the frontier, less the
+    classes already seen.
     """
-    fmt, has, classes = _lattice(G.ring.k)
+    lat = _lattice(G.ring.k)
     frontier = 1 << G.classes[src]
     seen = frontier
     levels = [frontier]
-    while seen != classes:
-        x = int(format(frontier, fmt)[::-1], 2)
-        for i, h in enumerate(has):
-            x |= (x & h) >> (1 << i)
-        frontier = x & classes & ~seen
+    while seen != lat[2]:
+        frontier = _neighbors(lat, frontier) & ~seen
         if not frontier:
             break
         seen |= frontier
@@ -247,8 +259,7 @@ def class_eccentricity(G: GraphView, mask: int) -> int:
     levels = class_distances(G, i)
     unreached = _lattice(G.ring.k)[2] & ~functools.reduce(operator.or_, levels)
     if unreached:
-        lowest = (unreached & -unreached).bit_length() - 1
-        raise Disconnected((Vertex(mask).render(), Vertex(lowest).render()))
+        raise Disconnected((Vertex(mask).render(), Vertex(_lowest(unreached)).render()))
     best = len(levels) - 1
     if G.weights[i] >= 2:
         if G.degree_of_mask(mask) == 0:
@@ -326,98 +337,14 @@ def orthogonal(G: GraphView, u: Vertex, v: Vertex) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shortest cycle through a pair (min-cost two vertex-disjoint paths)
-
-
-class _MinCostFlow:
-    """Successive shortest paths with Dijkstra and node potentials."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-
-    def min_cost_flow(self, s: int, t: int, want: int) -> tuple[int, int]:
-        """Push up to `want` units; returns (flow achieved, total cost)."""
-        flow = 0
-        total = 0
-        pot = [0] * self.n
-        while flow < want:
-            dist = [math.inf] * self.n
-            prev_edge = [-1] * self.n
-            dist[s] = 0
-            pq = [(0, s)]
-            while pq:
-                d, u = heapq.heappop(pq)
-                if d > dist[u]:
-                    continue
-                for eid in self.adj[u]:
-                    if self.cap[eid] <= 0:
-                        continue
-                    v = self.to[eid]
-                    nd = d + self.cost[eid] + pot[u] - pot[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev_edge[v] = eid
-                        heapq.heappush(pq, (nd, v))
-            if dist[t] is math.inf:
-                break
-            for i in range(self.n):
-                if dist[i] is not math.inf:
-                    pot[i] += dist[i]
-            push = want - flow
-            v = t
-            while v != s:
-                eid = prev_edge[v]
-                push = min(push, self.cap[eid])
-                v = self.to[eid ^ 1]
-            v = t
-            while v != s:
-                eid = prev_edge[v]
-                self.cap[eid] -= push
-                self.cap[eid ^ 1] += push
-                v = self.to[eid ^ 1]
-            flow += push
-            total += push * pot[t]
-        return flow, total
-
-    def extract_unit_paths(self, s: int, t: int, units: int) -> list[list[int]]:
-        """Decompose the pushed flow into unit walks from s to t."""
-        used = [self.cap[i ^ 1] if i % 2 == 0 else 0 for i in range(len(self.to))]
-        paths = []
-        for _ in range(units):
-            node = s
-            walk = [s]
-            while node != t:
-                for eid in self.adj[node]:
-                    if eid % 2 == 0 and used[eid] > 0:
-                        used[eid] -= 1
-                        node = self.to[eid]
-                        walk.append(node)
-                        break
-                else:
-                    raise AssertionError("flow decomposition failed")
-            paths.append(walk)
-        return paths
+# shortest cycle through a pair (two vertex-disjoint paths by two searches)
 
 
 @dataclass(frozen=True)
 class GirthResult:
     """Shortest cycle through a vertex pair; length is inf when none exists.
 
-    One flow solve is always exact, so `bound_used` is always 2 and
+    The two searches are always exact, so `bound_used` is always 2 and
     `escalated` always False.  Both stay as fields because the benchmark
     trace reads them.
     """
@@ -428,55 +355,77 @@ class GirthResult:
     escalated: bool = False
 
 
+def _shortest_path(
+    lat: tuple[str, tuple[int, ...], int], start: int, near: int, usable: int
+) -> list[int] | None:
+    """The classes of a shortest path between two vertices, by bitset BFS.
+
+    `start` and `near` are the classes adjacent to either end, and only
+    `usable` classes are walked.  The path takes the lowest mask at each
+    step.  None when no path passes through a class.
+    """
+    levels = [start & usable]
+    seen = levels[0]
+    while levels[-1] and not levels[-1] & near:
+        levels.append(_neighbors(lat, levels[-1]) & usable & ~seen)
+        seen |= levels[-1]
+    if not levels[-1]:
+        return None
+    path = [_lowest(levels.pop() & near)]
+    while levels:
+        path.append(_lowest(levels.pop() & _neighbors(lat, 1 << path[-1])))
+    return path[::-1]
+
+
 def girth_through(G: GraphView, u: Vertex, v: Vertex) -> GirthResult:
     """Length of the shortest simple cycle through both u and v.
 
-    Computed as the minimum total length of two internally vertex-disjoint
-    u-v paths: two units of min-cost flow through the class network, each
-    class split into an entry and an exit node.  A class's capacity is its
-    copies left over after u and v, clipped at 2.  The clip is exact: every
-    arc between classes costs one, so a unit that passed one class twice
-    would contain a positive-cost cycle, and a min-cost flow carries none.
-    Each of the two units therefore uses a class at most once.
+    That is the least total length of two internally vertex-disjoint u-v
+    paths.  Suurballe's method finds them with two searches: a shortest
+    first path, then a shortest path in the residual graph, in which a
+    class keeps the copies left after u, v and the first path, and the
+    second path may also walk the first one backwards.  In these graphs a
+    backward step never helps, so both searches are bitset BFS runs on the
+    subset lattice, the second one with the first path's spent classes
+    masked out:
+
+    - u and v adjacent: the first path is the edge u-v, which the second
+      path may not reuse.  Walking the edge back only returns to u.
+    - masks that meet but miss a coordinate: the first path is u-c-v, and
+      walking it back only returns to u or leaves from v.
+    - masks that meet and cover every coordinate: no vertex is next to
+      both u and v, and each neighbor of u is next to each neighbor of v.
+      So two disjoint u-v paths exist exactly when u and v each have two
+      neighbors, and then both can have length 3; the second search finds
+      one around the first path.
     """
     G.check_vertex(u)
     G.check_vertex(v)
     if u == v:
         raise ValueError("girth_through needs two distinct vertices")
 
-    cs = G.classes
-    adj = G.adjacency()
-    net = _MinCostFlow(2 + 2 * len(cs))
-    source, sink = 0, 1
+    mu, mv = u.mask, v.mask
+    lat = _lattice(G.ring.k)
+    start, near_v = _neighbors(lat, 1 << mu), _neighbors(lat, 1 << mv)
 
-    def node_in(i: int) -> int:
-        return 2 + 2 * i
+    def left(m: int) -> int:
+        return G.weights[m - 1] - (m == mu) - (m == mv)
 
-    def node_out(i: int) -> int:
-        return 3 + 2 * i
-
-    caps = [min(2, w - (m == u.mask) - (m == v.mask)) for m, w in zip(cs, G.weights)]
-    for i, c in enumerate(caps):
-        if c > 0:
-            net.add_edge(node_in(i), node_out(i), c, 0)
-    if u.mask & v.mask == 0:
-        net.add_edge(source, sink, 1, 1)
-    for i, m in enumerate(cs):
-        if caps[i] <= 0:
-            continue
-        if m & u.mask == 0:
-            net.add_edge(source, node_in(i), 2, 1)
-        if m & v.mask == 0:
-            net.add_edge(node_out(i), sink, 2, 1)
-        for j in adj[i]:
-            if caps[j] > 0:
-                net.add_edge(node_out(i), node_in(j), 2, 1)
-
-    flow, cost = net.min_cost_flow(source, sink, 2)
-    if flow < 2:
+    usable = lat[2]
+    for m in (mu, mv):
+        if left(m) == 0:
+            usable &= ~(1 << m)
+    first = [] if mu & mv == 0 else _shortest_path(lat, start, near_v, usable)
+    if first is None:
         return GirthResult(Infinite, None)
+    for m in first:
+        if left(m) == 1:
+            usable &= ~(1 << m)
+    second = _shortest_path(lat, start, near_v, usable)
+    if second is None:
+        return GirthResult(Infinite, None)
+    length = len(first) + len(second) + 2
 
-    walks = net.extract_unit_paths(source, sink, 2)
     # allocate distinct copies per class across the whole cycle
     next_copy: dict[int, int] = {}
 
@@ -487,14 +436,7 @@ def girth_through(G: GraphView, u: Vertex, v: Vertex) -> GirthResult:
         next_copy[mask] = c + 1
         return Vertex(mask, c)
 
-    sides = []
-    for walk in walks:
-        inner = []
-        for node in walk[1:-1]:
-            if node % 2 == 0:
-                continue  # class entry node; emit the vertex once, at the exit node
-            inner.append(take_copy(cs[(node - 2) // 2]))
-        sides.append(inner)
+    sides = [[take_copy(m) for m in path] for path in (first, second)]
     cycle = (u, *sides[0], v, *reversed(sides[1]))
 
     if len(set(cycle)) != len(cycle):
@@ -502,9 +444,9 @@ def girth_through(G: GraphView, u: Vertex, v: Vertex) -> GirthResult:
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         if a.mask & b.mask != 0:
             raise AssertionError("girth witness contains a non-edge")
-    if len(cycle) != cost:
-        raise AssertionError("girth witness length disagrees with flow cost")
-    return GirthResult(float(cost), cycle)
+    if len(cycle) != length:
+        raise AssertionError("girth witness length disagrees with the two searches")
+    return GirthResult(float(length), cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ CORPUS_REPORT_SHA256 = (
     ("2x2x3x3", "637708bac7478334fc86f5bbac2844831a75f2b0a2aa4fd3bcecac115831d089"),
 )
 
+# sha256 of run_verification(build_ring(SquarefreeModulus(510510)), seed=s).to_json_bytes():
+# seven factors, the size the benchmark verifies, with girth and adjacency records
+K7_REPORT_SHA256 = {
+    0: "bcd188c145fac3d529a9b77ed5633069805a121e12f10ccb7186fb6489404dc8",
+    1: "9f8e4072d282a46a57c716a76a42913f01e41be42a9a09776cb05a6dbaac4d8b",
+}
+
 # sha256 of the --explicit export bytes, as `zdgraph export --zn N --graph G --format F --explicit` prints them
 EXPLICIT_EXPORT_SHA256 = {
     (30, "gamma", "json"): "dba65d534ad19fe6ac3ffa6e64816a2219a55e54cdf1f8934dda262bf9ecd8b2",
@@ -204,6 +211,12 @@ def test_corpus_report_bytes(corpus, index):
 
 def test_golden_table_covers_the_corpus(corpus):
     assert len(CORPUS_REPORT_SHA256) == len(corpus)
+
+
+@pytest.mark.parametrize("seed", sorted(K7_REPORT_SHA256))
+def test_seven_factor_report_bytes(seed):
+    ring = build_ring(SquarefreeModulus(510510))
+    assert _sha256(run_verification(ring, seed=seed).to_json_bytes()) == K7_REPORT_SHA256[seed]
 
 
 def _export_bytes(n: int, kind: str, fmt: str, compressed: bool) -> bytes:

@@ -285,6 +285,20 @@ class TestGirth:
                 if not math.isinf(res.length):
                     assert len(res.cycle) == int(res.length)
 
+    def test_girth_builds_no_adjacency(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("girth built the class adjacency")
+
+        monkeypatch.setattr(GraphView, "adjacency", refuse)
+        ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17, 19)))
+        for build in (build_gamma, build_ag):
+            G = build(ring)
+            assert girth_through(G, Vertex(0b00000011), Vertex(0b00001100)).length == 3
+            assert girth_through(G, Vertex(0b00000011), Vertex(0b00000110)).length == 4
+            assert girth_through(G, Vertex(0b00011111), Vertex(0b11110001)).length == 6
+            assert math.isinf(girth_through(G, Vertex(0b01111111), Vertex(0b11111110)).length)
+        assert girth_through(build_gamma(ring), Vertex(0b10), Vertex(0b10, 1)).length == 4
+
 
 class TestDomination:
     def test_frozen_sizes(self, z6, z30, f33):

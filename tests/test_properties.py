@@ -32,6 +32,7 @@ from zdgraph import (
 from zdgraph.explicit import (
     bfs_distance,
     bfs_eccentricity,
+    cycle_through_pair_flow,
     materialize,
 )
 from zdgraph.rings import (
@@ -218,6 +219,37 @@ def test_bfs_metrics_match_explicit_oracle(ps, kind, data):
     i = data.draw(st.integers(0, eg.n - 1))
     j = data.draw(st.integers(0, eg.n - 1))
     assert distance(G, eg.labels[i], eg.labels[j]) == bfs_distance(eg, i, j)
+
+
+@given(
+    ps=st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=4),
+    kind=st.sampled_from([GAMMA, AG]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_girth_matches_explicit_flow_oracle(ps, kind, data):
+    ring = build_ring(PrimeFactors(tuple(ps)))
+    G = build_gamma(ring) if kind == GAMMA else build_ag(ring)
+    eg = materialize(G)
+    index = {v: i for i, v in enumerate(eg.labels)}
+    for _ in range(3):
+        i = data.draw(st.integers(0, eg.n - 1))
+        copies = [j for j, w in enumerate(eg.labels) if w.mask == eg.labels[i].mask and j != i]
+        if copies and data.draw(st.booleans()):
+            j = data.draw(st.sampled_from(copies))
+        else:
+            j = data.draw(st.integers(0, eg.n - 1).filter(lambda j: j != i))
+        res = girth_through(G, eg.labels[i], eg.labels[j])
+        assert res.length == cycle_through_pair_flow(eg, i, j)
+        if math.isinf(res.length):
+            assert res.cycle is None
+            continue
+        cycle = [index[w] for w in res.cycle]
+        assert len(cycle) == res.length
+        assert len(set(cycle)) == len(cycle)
+        assert i in cycle and j in cycle
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert b in eg.adj[a]
 
 
 def test_json_report_render_has_no_floats():

@@ -190,3 +190,29 @@ def test_domination_cap_respected(z30, monkeypatch):
     monkeypatch.setenv("ZDGRAPH_DOMINATION_K_CAP", "2")
     report = run_verification(z30, suites=("domination",), seed=0)
     assert all(r.verdict is Verdict.NOT_APPLICABLE for r in report.records)
+
+
+def test_generator_scan_disagreement_is_a_record(monkeypatch, capsys):
+    from zdgraph.cli import EXIT_VIOLATIONS, main
+    from zdgraph.rings import Ring
+
+    true_mul = Ring.mul
+
+    def faulty_mul(self, a, b):
+        # a wrong product for one non-generator element of the ideal on {2}
+        product = true_mul(self, a, b)
+        if (0, 2, 0) in (a.coords, b.coords) and product == self.zero():
+            return self.one()
+        return product
+
+    monkeypatch.setattr(Ring, "mul", faulty_mul)
+    report = run_verification(build_ring(SquarefreeModulus(30)), suites=["adjacency"])
+    found = [r for r in report.records if r.check_id == "adjacency.ag.generator-scan"]
+    assert found
+    for r in found:
+        assert r.verdict is Verdict.VIOLATED and not r.registered
+        assert (r.prediction, r.oracle) == (True, False)  # generators say zero, the scan does not
+    assert report.has_unregistered_violations
+
+    assert main(["verify", "--zn", "30", "--suites", "adjacency"]) == EXIT_VIOLATIONS
+    assert "!! adjacency.ag.generator-scan at " in capsys.readouterr().out
