@@ -16,6 +16,7 @@ from .errors import (
     FactorNotField,
     FactorNotPrimeField,
     InputFormatError,
+    InternalInconsistency,
     IsolatedVertex,
     NoAnnihilatingIdeals,
     NotAdditiveGroup,

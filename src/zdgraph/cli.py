@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 unregistered verification violations, 3 bad input
-(arguments, ring construction, malformed files), 4 resource caps exceeded.
+(arguments, ring construction, malformed files), 4 resource caps exceeded,
+5 an engine's check of its own result failed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 from .corpus import squarefree_moduli
 from .errors import (
     InputFormatError,
+    InternalInconsistency,
     TooManyElements,
     TooManyFactors,
     ZdgraphError,
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -312,6 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TooManyFactors, TooManyElements) as exc:
         print(f"zdgraph: resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InternalInconsistency as exc:
+        print(f"zdgraph: internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ZdgraphError as exc:
         print(f"zdgraph: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -105,3 +105,7 @@ class IsolatedVertex(ZdgraphError):
 
 class InputFormatError(ZdgraphError):
     """A table file or CLI ring specification is malformed."""
+
+
+class InternalInconsistency(ZdgraphError):
+    """An engine's own check of its result failed: a bug, not bad input."""

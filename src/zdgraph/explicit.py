@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import TooManyElements
+from .errors import InternalInconsistency, TooManyElements
 from .graphs import GraphView, Vertex, gamma_vertex
 from .rings import Ring, annihilating_ideals, env_int, ideal_product
 
@@ -275,4 +275,4 @@ def exhaustive_domination(eg: ExplicitGraph, total: bool = False) -> tuple[int, 
                         break
             if ok:
                 return size, combo
-    raise AssertionError("no dominating set found")
+    raise InternalInconsistency("no dominating set found")

@@ -7,7 +7,7 @@ import os
 from pathlib import Path
 
 from .explicit import ExplicitGraph, materialize
-from .graphs import GraphView, vertex_label
+from .graphs import GraphView, _submasks, vertex_label
 from .rings import render_support
 
 EXPORT_FORMAT = 1
@@ -21,17 +21,18 @@ def _graph_name(G: GraphView) -> str:
 def compressed_nodes(G: GraphView) -> list[dict]:
     return [
         {
-            "id": i,
+            "id": m - 1,
             "mask": m,
             "support": render_support(m),
-            "weight": G.weights[i],
+            "weight": w,
         }
-        for i, m in enumerate(G.classes)
+        for m, w in zip(G.classes, G.weights)
     ]
 
 
 def compressed_edges(G: GraphView) -> list[list[int]]:
-    return [[i, j] for i, row in enumerate(G.adjacency()) for j in row if i < j]
+    full = G.full_mask
+    return [[m - 1, s - 1] for m in G.classes for s in _submasks(full & ~m) if m < s]
 
 
 def explicit_nodes(G: GraphView, eg: ExplicitGraph) -> list[dict]:

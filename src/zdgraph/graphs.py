@@ -14,9 +14,9 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .errors import Disconnected, EmptyGraph, IsolatedVertex
+from .errors import Disconnected, EmptyGraph, InternalInconsistency, IsolatedVertex
 from .rings import (
     Element,
     Ideal,
@@ -72,28 +72,21 @@ class GraphView:
             self.weights: tuple[int, ...] = tuple(ring.class_size(m) for m in self.classes)
         else:
             self.weights = (1,) * len(self.classes)
-        self._adj: list[list[int]] | None = None
 
     @property
     def full_mask(self) -> int:
         return self.ring.full_mask
 
-    def class_index(self, mask: int) -> int:
+    def weight(self, mask: int) -> int:
         if not 0 < mask < self.full_mask:
             raise ValueError(f"mask {mask:b} is not a vertex class of this graph")
-        return mask - 1
-
-    def weight(self, mask: int) -> int:
-        return self.weights[self.class_index(mask)]
+        return self.weights[mask - 1]
 
     def vertex_count(self) -> int:
         return sum(self.weights)
 
     def edge_count(self) -> int:
-        total = 0
-        for i, m in enumerate(self.classes):
-            total += self.weights[i] * self.degree_of_mask(m)
-        return total // 2
+        return sum(w * self.degree_of_mask(m) for m, w in zip(self.classes, self.weights)) // 2
 
     def degree_of_mask(self, mask: int) -> int:
         """Number of neighbors: everything supported inside the complement."""
@@ -105,21 +98,13 @@ class GraphView:
             return prod - 1
         return (1 << bin(comp).count("1")) - 1
 
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor class indices of each class, ascending: the submasks of its complement."""
-        if self._adj is None:
-            full = self.full_mask
-            self._adj = [[sub - 1 for sub in _submasks(full & ~m)] for m in self.classes]
-        return self._adj
-
     def vertices(self) -> Iterator[Vertex]:
         for m, w in zip(self.classes, self.weights):
             for c in range(w):
                 yield Vertex(m, c)
 
     def check_vertex(self, v: Vertex) -> None:
-        i = self.class_index(v.mask)
-        if not 0 <= v.copy < self.weights[i]:
+        if not 0 <= v.copy < self.weight(v.mask):
             raise ValueError(f"copy {v.copy} out of range for class {v.render()}")
 
 
@@ -200,6 +185,13 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
+def _members(bits: int) -> Iterator[int]:
+    """The masks in the class set `bits`, ascending."""
+    while bits:
+        yield _lowest(bits)
+        bits &= bits - 1
+
+
 def _neighbors(lat: tuple[str, tuple[int, ...], int], bits: int) -> int:
     """The classes disjoint from at least one class in the set `bits`.
 
@@ -215,7 +207,7 @@ def _neighbors(lat: tuple[str, tuple[int, ...], int], bits: int) -> int:
 
 
 def class_distances(G: GraphView, src: int) -> list[int]:
-    """BFS over classes from class index `src`, as a list of level bitsets.
+    """BFS over classes from class mask `src`, as a list of level bitsets.
 
     Level d has bit m set for each class mask m at distance d from the
     source class.  A class's neighbors are the nonempty submasks of its
@@ -223,7 +215,7 @@ def class_distances(G: GraphView, src: int) -> list[int]:
     classes already seen.
     """
     lat = _lattice(G.ring.k)
-    frontier = 1 << G.classes[src]
+    frontier = 1 << src
     seen = frontier
     levels = [frontier]
     while seen != lat[2]:
@@ -247,7 +239,7 @@ def distance(G: GraphView, u: Vertex, v: Vertex) -> int:
         if G.degree_of_mask(u.mask) == 0:
             raise Disconnected((u.render(), v.render()))
         return 2
-    for d, level in enumerate(class_distances(G, G.class_index(u.mask))):
+    for d, level in enumerate(class_distances(G, u.mask)):
         if level >> v.mask & 1:
             return d
     raise Disconnected((u.render(), v.render()))
@@ -255,13 +247,13 @@ def distance(G: GraphView, u: Vertex, v: Vertex) -> int:
 
 def class_eccentricity(G: GraphView, mask: int) -> int:
     """Eccentricity shared by every copy in the class."""
-    i = G.class_index(mask)
-    levels = class_distances(G, i)
+    weight = G.weight(mask)
+    levels = class_distances(G, mask)
     unreached = _lattice(G.ring.k)[2] & ~functools.reduce(operator.or_, levels)
     if unreached:
         raise Disconnected((Vertex(mask).render(), Vertex(_lowest(unreached)).render()))
     best = len(levels) - 1
-    if G.weights[i] >= 2:
+    if weight >= 2:
         if G.degree_of_mask(mask) == 0:
             raise Disconnected((Vertex(mask, 0).render(), Vertex(mask, 1).render()))
         best = max(best, 2)
@@ -440,12 +432,12 @@ def girth_through(G: GraphView, u: Vertex, v: Vertex) -> GirthResult:
     cycle = (u, *sides[0], v, *reversed(sides[1]))
 
     if len(set(cycle)) != len(cycle):
-        raise AssertionError("girth witness repeats a vertex")
+        raise InternalInconsistency("girth witness repeats a vertex")
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         if a.mask & b.mask != 0:
-            raise AssertionError("girth witness contains a non-edge")
+            raise InternalInconsistency("girth witness contains a non-edge")
     if len(cycle) != length:
-        raise AssertionError("girth witness length disagrees with the two searches")
+        raise InternalInconsistency("girth witness length disagrees with the two searches")
     return GirthResult(float(length), cycle)
 
 
@@ -469,14 +461,17 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
     A class either contributes nothing, one copy, or all of its copies;
     one copy already dominates every disjoint class, and only a fully chosen
     class dominates itself (copies are never adjacent, so for the total
-    variant self-cover never counts).  The lower bound packs uncovered
-    classes no single choice can cover together, and the first incumbent is
-    one copy per single-coordinate class.
+    variant self-cover never counts).  The search state is two class
+    bitsets: `one` holds the classes with one copy chosen and `every` the
+    classes chosen whole.  The lower bound packs uncovered classes no single
+    choice can cover together, and the first incumbent is one copy per
+    single-coordinate class.
     """
     cs = G.classes
     ws = G.weights
     full = G.full_mask
-    nclasses = len(cs)
+    k = G.ring.k
+    lat = _lattice(k)
 
     if total:
         for m in cs:
@@ -484,120 +479,78 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
                 raise IsolatedVertex(Vertex(m, 0).render())
 
     ONE, FULL = 1, 2
-    level = [0] * nclasses
-    cover_count = [0] * nclasses  # how many chosen classes are disjoint from this one
-    singleton_ids = [G.class_index(1 << b) for b in range(G.ring.k)]
+    # bit m is set when class m has one copy; bit 0 stands for no class
+    weight_one = int("".join("1" if w == 1 else "0" for w in reversed(ws)) + "0", 2)
 
-    def is_covered(i: int) -> bool:
-        if cover_count[i] > 0:
-            return True
-        if total:
-            return False
-        return level[i] == FULL or (level[i] == ONE and ws[i] == 1)
-
-    def apply_choice(i: int, lev: int) -> None:
-        was_chosen = level[i] > 0
-        level[i] = max(level[i], lev)
-        if not was_chosen:
-            for j in G.adjacency()[i]:
-                cover_count[j] += 1
-
-    def undo_choice(i: int, prev: int) -> None:
-        if prev == 0 and level[i] > 0:
-            for j in G.adjacency()[i]:
-                cover_count[j] -= 1
-        level[i] = prev
-
-    def choice_cost(i: int, lev: int) -> int:
-        cur = 0 if level[i] == 0 else (1 if level[i] == ONE else ws[i])
-        new = 1 if lev == ONE else ws[i]
+    def choice_cost(one: int, every: int, m: int, lev: int) -> int:
+        w = ws[m - 1]
+        cur = w if every >> m & 1 else one >> m & 1
+        new = 1 if lev == ONE else w
         return max(0, new - cur)
 
-    def conflict(a: int, b: int) -> bool:
-        ma, mb = cs[a], cs[b]
-        if ma | mb != full:
-            return False
-        return total or (ma & mb) != 0
+    def conflict(ma: int, mb: int) -> bool:
+        return (ma | mb) == full and (total or (ma & mb) != 0)
 
-    def lower_bound(uncovered: list[int]) -> int:
+    def lower_bound(uncovered: Iterable[int]) -> int:
         pack: list[int] = []
-        for i in sorted(uncovered, key=lambda x: (-bin(cs[x]).count("1"), cs[x])):
-            if all(conflict(i, p) for p in pack):
-                pack.append(i)
+        for m in sorted(uncovered, key=lambda x: (-bin(x).count("1"), x)):
+            if all(conflict(m, p) for p in pack):
+                pack.append(m)
         return len(pack)
 
-    # incumbent: one copy of every single-coordinate class
-    best_cost = len(singleton_ids)
-    best_levels = [0] * nclasses
-    for i in singleton_ids:
-        best_levels[i] = ONE
+    # incumbent (cost, one, every): one copy of every single-coordinate class
+    best = (k, sum(1 << (1 << b) for b in range(k)), 0)
+    nodes = 0
 
-    state = {"nodes": 0, "overflow": False}
-
-    def options_for(i: int) -> list[tuple[int, int]]:
-        """Choices that cover class i, as (class index, level)."""
-        comp = full & ~cs[i]
-        opts: list[tuple[int, int]] = []
-        for b in iter_bits(comp):
-            opts.append((G.class_index(1 << b), ONE))
+    def search(one: int, every: int, cost: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > DOMINATION_NODE_BUDGET:
+            return
+        covered = _neighbors(lat, one | every)
         if not total:
-            sub = comp
-            while sub:
-                j = G.class_index(sub)
-                if not (sub & (sub - 1) == 0 and ws[j] == 1):  # singleton with one copy is already above
-                    opts.append((j, FULL))
-                sub = (sub - 1) & comp
-            opts.append((i, FULL))
-        return opts
-
-    def search(cost: int) -> None:
-        nonlocal best_cost, best_levels
-        state["nodes"] += 1
-        if state["nodes"] > DOMINATION_NODE_BUDGET:
-            state["overflow"] = True
-            return
-        uncovered = [i for i in range(nclasses) if not is_covered(i)]
+            covered |= every | (one & weight_one)
+        uncovered = list(_members(lat[2] & ~covered))
         if not uncovered:
-            if cost < best_cost:
-                best_cost = cost
-                best_levels = level.copy()
+            if cost < best[0]:
+                best = (cost, one, every)
             return
-        if cost + lower_bound(uncovered) >= best_cost:
+        if cost + lower_bound(uncovered) >= best[0]:
             return
         # branch on the class with the fewest ways to cover it
-        target = min(uncovered, key=lambda i: (bin(full & ~cs[i]).count("1"), cs[i]))
-        opts = options_for(target)
-        opts.sort(key=lambda o: (choice_cost(*o), -bin(full & ~cs[o[0]]).count("1"), cs[o[0]], o[1]))
-        for j, lev in opts:
-            extra = choice_cost(j, lev)
-            if extra == 0:
+        target = min(uncovered, key=lambda m: (bin(full & ~m).count("1"), m))
+        comp = full & ~target
+        opts = [(1 << b, ONE) for b in iter_bits(comp)]
+        if not total:
+            # a singleton with one copy is already above
+            opts += [(s, FULL) for s in _submasks(comp) if s & (s - 1) or ws[s - 1] > 1]
+            opts.append((target, FULL))
+        opts.sort(key=lambda o: (choice_cost(one, every, *o), -bin(full & ~o[0]).count("1"), o[0], o[1]))
+        for m, lev in opts:
+            extra = choice_cost(one, every, m, lev)
+            if extra == 0 or cost + extra >= best[0]:
                 continue
-            if cost + extra >= best_cost:
-                continue
-            prev = level[j]
-            apply_choice(j, lev)
-            search(cost + extra)
-            undo_choice(j, prev)
+            if lev == ONE:
+                search(one | 1 << m, every, cost + extra)
+            else:
+                search(one & ~(1 << m), every | 1 << m, cost + extra)
 
-    root_lb = lower_bound(list(range(nclasses)))
-    if root_lb < best_cost:
-        search(0)
+    root_lb = lower_bound(cs)
+    if root_lb < best[0]:
+        search(0, 0, 0)
 
-    witness: list[Vertex] = []
-    for i, lev in enumerate(best_levels):
-        if lev == ONE:
-            witness.append(Vertex(cs[i], 0))
-        elif lev == FULL:
-            witness.extend(Vertex(cs[i], c) for c in range(ws[i]))
+    size, one, every = best
+    witness = [Vertex(m, 0) for m in _members(one)]
+    witness += [Vertex(m, c) for m in _members(every) for c in range(ws[m - 1])]
     witness.sort(key=lambda v: (v.mask, v.copy))
 
     _validate_domination(G, witness, total)
     return DominationResult(
-        size=best_cost,
+        size=size,
         witness=tuple(witness),
-        certified=not state["overflow"],
+        certified=nodes <= DOMINATION_NODE_BUDGET,
         total=total,
-        nodes=state["nodes"],
+        nodes=nodes,
         root_lower_bound=root_lb,
     )
 
@@ -611,11 +564,11 @@ def _validate_domination(G: GraphView, witness: list[Vertex], total: bool) -> No
         dominated_by_neighbor = any(m & t == 0 for t in chosen_masks)
         if total:
             if not dominated_by_neighbor:
-                raise AssertionError(f"class {render_support(m)} not totally dominated")
+                raise InternalInconsistency(f"class {render_support(m)} not totally dominated")
         else:
             fully_in = counts.get(m, 0) == G.weights[i]
             if not (dominated_by_neighbor or fully_in):
-                raise AssertionError(f"class {render_support(m)} not dominated")
+                raise InternalInconsistency(f"class {render_support(m)} not dominated")
 
 
 # ---------------------------------------------------------------------------

@@ -202,14 +202,10 @@ def _ring_name(descriptor: dict) -> str:
 # caps only the count of interchangeable pairs inside each such signature
 
 
-def _popcount(m: int) -> int:
-    return bin(m).count("1")
-
-
 def _sample_classes(G: GraphView, seed: int, suite: str, cap: int) -> list[int]:
     groups: dict[int, list[int]] = {}
     for m in G.classes:
-        groups.setdefault(_popcount(m), []).append(m)
+        groups.setdefault(m.bit_count(), []).append(m)
     chosen: list[int] = []
     for size in sorted(groups):
         masks = groups[size]
@@ -223,23 +219,25 @@ def _sample_classes(G: GraphView, seed: int, suite: str, cap: int) -> list[int]:
 def _sample_pairs(
     G: GraphView, seed: int, suite: str, cap: int, include_same_class: bool
 ) -> list[tuple[Vertex, Vertex]]:
+    # mask pairs (a, b), a before b by (popcount, mask); a same-class pair is
+    # (m, m), drawn as copies 0 and 1; only the kept pairs become vertices
     full = G.full_mask
-    groups: dict[tuple, list[tuple[Vertex, Vertex]]] = {}
-    for i, mi in enumerate(G.classes):
-        if include_same_class and G.weights[i] >= 2:
-            sig = (_popcount(mi), _popcount(mi), _popcount(mi), mi == full, True)
-            groups.setdefault(sig, []).append((Vertex(mi, 0), Vertex(mi, 1)))
-        for mj in G.classes[i + 1 :]:
-            a, b = sorted((mi, mj), key=lambda m: (_popcount(m), m))
-            sig = (_popcount(a), _popcount(b), _popcount(a & b), (a | b) == full, False)
-            groups.setdefault(sig, []).append((Vertex(a, 0), Vertex(b, 0)))
+    pop = [m.bit_count() for m in range(full + 1)]
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for mi, w in zip(G.classes, G.weights):
+        if include_same_class and w >= 2:
+            n = pop[mi]
+            groups.setdefault((n, n, n, mi == full, True), []).append((mi, mi))
+        for mj in range(mi + 1, full):
+            a, b = (mi, mj) if pop[mi] <= pop[mj] else (mj, mi)
+            groups.setdefault((pop[a], pop[b], pop[a & b], (a | b) == full, False), []).append((a, b))
     chosen: list[tuple[Vertex, Vertex]] = []
     for sig in sorted(groups, key=repr):
         pairs = groups[sig]
         if len(pairs) > cap:
             rng = random.Random(f"{seed}:{suite}:{sig}")
-            pairs = sorted(rng.sample(pairs, cap), key=lambda p: (p[0].mask, p[1].mask))
-        chosen.extend(pairs)
+            pairs = sorted(rng.sample(pairs, cap))
+        chosen.extend((Vertex(a, 0), Vertex(b, int(a == b))) for a, b in pairs)
     return chosen
 
 
@@ -358,7 +356,7 @@ def _suite_distance(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: in
 def _suite_eccentricity(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, out: list) -> None:
     for G, check_id in ((Gg, "ecc.gamma"), (Ga, "ecc.ag")):
         for m in _sample_classes(G, seed, check_id, cap):
-            pred = 2 if _popcount(m) == 1 else 3
+            pred = 2 if m.bit_count() == 1 else 3
             orc = class_eccentricity(G, m)
             out.append(_rec(check_id, pred, orc, Vertex(m, 0).render(), pred == orc))
 
@@ -447,7 +445,7 @@ def _suite_girth(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, 
         rest = full & ~(mu | mv)
         dense = rest == 0
         meet = not disjoint
-        pend = _popcount(full & ~mu) == 1 or _popcount(full & ~mv) == 1
+        pend = (full & ~mu).bit_count() == 1 or (full & ~mv).bit_count() == 1
         gi = girth_through(Ga, u, v).length
 
         out.append(
@@ -455,12 +453,12 @@ def _suite_girth(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, 
         )
         if disjoint and dense and not pend:
             out.append(_rec("girth.ag.four-orthogonal", 4, gi, w, gi == 4))
-        if meet and _popcount(rest) >= 2:
+        if meet and rest.bit_count() >= 2:
             out.append(_rec("girth.ag.four-meeting", 4, gi, w, gi == 4))
-        if meet and _popcount(rest) == 1 and not pend:
+        if meet and rest.bit_count() == 1 and not pend:
             out.append(_rec("girth.ag.five-range", [4, 5], gi, w, gi in (4, 5)))
         if gi == 5:
-            cond = meet and _popcount(rest) == 1
+            cond = meet and rest.bit_count() == 1
             out.append(_rec("girth.ag.isolated-point", True, cond, w, cond))
 
     out.append(
@@ -475,17 +473,9 @@ def _suite_girth(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, 
 
 def _suite_domination(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, out: list) -> None:
     k = ring.k
-    ids = (
-        "domination.total.gamma",
-        "domination.total.ag",
-        "domination.ag",
-        "domination.gamma-le-ag",
-        "domination.bound",
-        "domination.finite",
-    )
     if k > env_int(ENV_DOMINATION_K_CAP, DEFAULT_DOMINATION_K_CAP):
         note = f"skipped: {k} factors exceeds the domination cap ({ENV_DOMINATION_K_CAP})"
-        for cid in ids:
+        for cid in _EMPTY_GRAPH_IDS["domination"]:
             out.append(_na(cid, "", note))
         return
 

@@ -2,7 +2,9 @@
 
 `girth_through` below is the flow engine the package used before the lattice
 searches, copied verbatim: one two-unit min-cost-flow solve per pair on the
-class network, with each class split into an entry and an exit node.
+class network, with each class split into an entry and an exit node.  The one
+edit: its class rows come from `reference_engines.adjacency(G)`, as the
+package no longer builds adjacency lists.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 
+from reference_engines import adjacency
 from zdgraph.graphs import GirthResult, GraphView, Infinite, Vertex
 
 
@@ -114,7 +117,7 @@ def girth_through(G: GraphView, u: Vertex, v: Vertex) -> GirthResult:
         raise ValueError("girth_through needs two distinct vertices")
 
     cs = G.classes
-    adj = G.adjacency()
+    adj = adjacency(G)
     net = _MinCostFlow(2 + 2 * len(cs))
     source, sink = 0, 1
 

