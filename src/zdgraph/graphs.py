@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import Disconnected, EmptyGraph, InternalInconsistency, IsolatedVertex
+from .errors import Disconnected, EmptyGraph, InternalInconsistency
 from .rings import (
     Element,
     Ideal,
@@ -473,11 +473,6 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
     k = G.ring.k
     lat = _lattice(k)
 
-    if total:
-        for m in cs:
-            if full & ~m == 0:
-                raise IsolatedVertex(Vertex(m, 0).render())
-
     ONE, FULL = 1, 2
     # bit m is set when class m has one copy; bit 0 stands for no class
     weight_one = int("".join("1" if w == 1 else "0" for w in reversed(ws)) + "0", 2)
@@ -493,7 +488,7 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
 
     def lower_bound(uncovered: Iterable[int]) -> int:
         pack: list[int] = []
-        for m in sorted(uncovered, key=lambda x: (-bin(x).count("1"), x)):
+        for m in sorted(uncovered, key=lambda x: (-x.bit_count(), x)):
             if all(conflict(m, p) for p in pack):
                 pack.append(m)
         return len(pack)
@@ -518,14 +513,14 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
         if cost + lower_bound(uncovered) >= best[0]:
             return
         # branch on the class with the fewest ways to cover it
-        target = min(uncovered, key=lambda m: (bin(full & ~m).count("1"), m))
+        target = min(uncovered, key=lambda m: ((full & ~m).bit_count(), m))
         comp = full & ~target
         opts = [(1 << b, ONE) for b in iter_bits(comp)]
         if not total:
             # a singleton with one copy is already above
             opts += [(s, FULL) for s in _submasks(comp) if s & (s - 1) or ws[s - 1] > 1]
             opts.append((target, FULL))
-        opts.sort(key=lambda o: (choice_cost(one, every, *o), -bin(full & ~o[0]).count("1"), o[0], o[1]))
+        opts.sort(key=lambda o: (choice_cost(one, every, *o), -(full & ~o[0]).bit_count(), o[0], o[1]))
         for m, lev in opts:
             extra = choice_cost(one, every, m, lev)
             if extra == 0 or cost + extra >= best[0]:

@@ -9,7 +9,9 @@ supports, stored as bitmask ints.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
@@ -205,7 +207,10 @@ class Ring:
     # -- element constructors ------------------------------------------------
 
     def element(self, coords: Iterable[int]) -> Element:
-        coords = tuple(c % q for c, q in zip(tuple(coords), self.qs, strict=True))
+        coords = tuple(coords)
+        if len(coords) != len(self.qs):
+            raise self._length_error(coords)
+        coords = tuple(map(operator.mod, coords, self.qs))
         return Element(coords, self._label_for(coords))
 
     def zero(self) -> Element:
@@ -240,16 +245,42 @@ class Ring:
         basis = self._crt_basis
         return sum(c * b for c, b in zip(coords, basis)) % self.modulus
 
+    def _length_error(self, *coord_tuples: tuple[int, ...]) -> ValueError:
+        got = ", ".join(str(len(coords)) for coords in coord_tuples)
+        return ValueError(f"expected {len(self.qs)} coordinates, got {got}")
+
     # -- arithmetic ------------------------------------------------------------
+    #
+    # The CRT map is a ring isomorphism, so in a ring built from a modulus the
+    # residue label of a result is the same operation on the operands' labels;
+    # the k-term CRT sum is only the fallback for operands without a label.
 
     def add(self, a: Element, b: Element) -> Element:
-        return self.element(x + y for x, y in zip(a.coords, b.coords))
+        if not len(a.coords) == len(b.coords) == len(self.qs):
+            raise self._length_error(a.coords, b.coords)
+        coords = tuple(map(operator.mod, map(operator.add, a.coords, b.coords), self.qs))
+        n = self.modulus
+        if n is None or a.label is None or b.label is None:
+            return Element(coords, self._label_for(coords))
+        return Element(coords, (a.label + b.label) % n)
 
     def mul(self, a: Element, b: Element) -> Element:
-        return self.element(x * y for x, y in zip(a.coords, b.coords))
+        if not len(a.coords) == len(b.coords) == len(self.qs):
+            raise self._length_error(a.coords, b.coords)
+        coords = tuple(map(operator.mod, map(operator.mul, a.coords, b.coords), self.qs))
+        n = self.modulus
+        if n is None or a.label is None or b.label is None:
+            return Element(coords, self._label_for(coords))
+        return Element(coords, a.label * b.label % n)
 
     def neg(self, a: Element) -> Element:
-        return self.element(-x for x in a.coords)
+        if len(a.coords) != len(self.qs):
+            raise self._length_error(a.coords)
+        coords = tuple(map(operator.mod, map(operator.neg, a.coords), self.qs))
+        n = self.modulus
+        if n is None or a.label is None:
+            return Element(coords, self._label_for(coords))
+        return Element(coords, -a.label % n)
 
     def is_zero_divisor(self, a: Element) -> bool:
         """Zero divisors include 0: everything with a nonzero annihilator."""
@@ -261,39 +292,15 @@ class Ring:
     # -- enumeration -----------------------------------------------------------
 
     def elements(self) -> Iterator[Element]:
+        """Every element in lex order, last coordinate fastest."""
         if self.size > ELEMENT_CAP:
             raise TooManyElements(self.size, ELEMENT_CAP)
-        coords = [0] * self.k
-        while True:
-            yield self.element(tuple(coords))
-            i = self.k - 1
-            while i >= 0:
-                coords[i] += 1
-                if coords[i] < self.qs[i]:
-                    break
-                coords[i] = 0
-                i -= 1
-            if i < 0:
-                return
+        yield from map(self.element, itertools.product(*map(range, self.qs)))
 
     def elements_with_support(self, support_mask: int) -> Iterator[Element]:
         """All elements whose support is exactly the given mask, in lex order."""
-        idx = list(iter_bits(support_mask))
-        vals = [1] * len(idx)
-        while True:
-            coords = [0] * self.k
-            for j, i in enumerate(idx):
-                coords[i] = vals[j]
-            yield self.element(tuple(coords))
-            j = len(idx) - 1
-            while j >= 0:
-                vals[j] += 1
-                if vals[j] < self.qs[idx[j]]:
-                    break
-                vals[j] = 1
-                j -= 1
-            if j < 0:
-                return
+        ranges = (range(1, q) if support_mask >> i & 1 else (0,) for i, q in enumerate(self.qs))
+        yield from map(self.element, itertools.product(*ranges))
 
     def class_size(self, support_mask: int) -> int:
         """Number of elements with the given exact support."""
@@ -438,22 +445,9 @@ def ideal_algebra(ring: Ring, a: Ideal, b: Ideal) -> IdealAlgebra:
 
 
 def elements_of_ideal(ring: Ring, ideal: Ideal) -> list[Element]:
-    """Explicit member list, for small rings and oracle work."""
-    idx = list(iter_bits(ideal.mask))
-    size = math.prod(ring.qs[i] for i in idx)
+    """Explicit member list in lex order, for small rings and oracle work."""
+    size = math.prod(ring.qs[i] for i in iter_bits(ideal.mask))
     if size > ELEMENT_CAP:
         raise TooManyElements(size, ELEMENT_CAP)
-    members = []
-    coords = [0] * ring.k
-
-    def rec(j: int):
-        if j == len(idx):
-            members.append(ring.element(tuple(coords)))
-            return
-        for v in range(ring.qs[idx[j]]):
-            coords[idx[j]] = v
-            rec(j + 1)
-        coords[idx[j]] = 0
-
-    rec(0)
-    return members
+    ranges = (range(q) if ideal.mask >> i & 1 else (0,) for i, q in enumerate(ring.qs))
+    return list(map(ring.element, itertools.product(*ranges)))

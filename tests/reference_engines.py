@@ -6,14 +6,20 @@ sampling grouped plain mask pairs.  The only edits: `G.adjacency()` and
 `class_index(G, mask)`, which the package no longer has, are the local
 `adjacency(G)`, built here by a plain disjointness scan, and
 `class_index(G, mask)`.
+
+`elements`, `elements_with_support` and `elements_of_ideal` at the end are
+the odometer and recursive element walks the package used before it walked
+`itertools.product`, copied verbatim; the two `Ring` methods take the ring
+as a plain `self` argument.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 
-from zdgraph.errors import IsolatedVertex
+from zdgraph.errors import IsolatedVertex, TooManyElements
 from zdgraph.graphs import (
     DOMINATION_NODE_BUDGET,
     DominationResult,
@@ -21,7 +27,7 @@ from zdgraph.graphs import (
     Vertex,
     _validate_domination,
 )
-from zdgraph.rings import iter_bits
+from zdgraph.rings import ELEMENT_CAP, Element, Ideal, Ring, iter_bits
 
 
 @functools.cache
@@ -201,3 +207,62 @@ def _sample_pairs(
             pairs = sorted(rng.sample(pairs, cap), key=lambda p: (p[0].mask, p[1].mask))
         chosen.extend(pairs)
     return chosen
+
+
+def elements(self: Ring):
+    if self.size > ELEMENT_CAP:
+        raise TooManyElements(self.size, ELEMENT_CAP)
+    coords = [0] * self.k
+    while True:
+        yield self.element(tuple(coords))
+        i = self.k - 1
+        while i >= 0:
+            coords[i] += 1
+            if coords[i] < self.qs[i]:
+                break
+            coords[i] = 0
+            i -= 1
+        if i < 0:
+            return
+
+
+def elements_with_support(self: Ring, support_mask: int):
+    """All elements whose support is exactly the given mask, in lex order."""
+    idx = list(iter_bits(support_mask))
+    vals = [1] * len(idx)
+    while True:
+        coords = [0] * self.k
+        for j, i in enumerate(idx):
+            coords[i] = vals[j]
+        yield self.element(tuple(coords))
+        j = len(idx) - 1
+        while j >= 0:
+            vals[j] += 1
+            if vals[j] < self.qs[idx[j]]:
+                break
+            vals[j] = 1
+            j -= 1
+        if j < 0:
+            return
+
+
+def elements_of_ideal(ring: Ring, ideal: Ideal) -> list[Element]:
+    """Explicit member list, for small rings and oracle work."""
+    idx = list(iter_bits(ideal.mask))
+    size = math.prod(ring.qs[i] for i in idx)
+    if size > ELEMENT_CAP:
+        raise TooManyElements(size, ELEMENT_CAP)
+    members = []
+    coords = [0] * ring.k
+
+    def rec(j: int):
+        if j == len(idx):
+            members.append(ring.element(tuple(coords)))
+            return
+        for v in range(ring.qs[idx[j]]):
+            coords[idx[j]] = v
+            rec(j + 1)
+        coords[idx[j]] = 0
+
+    rec(0)
+    return members

@@ -9,6 +9,7 @@ import hashlib
 import pytest
 
 from zdgraph import SquarefreeModulus, build_ag, build_gamma, build_ring, domination, run_verification
+from zdgraph.cli import EXIT_OK, main
 from zdgraph.exports import graph_to_dot, graph_to_json, json_bytes
 
 # sha256 of run_verification(ring, seed=0).to_json_bytes(), in canonical_corpus() order
@@ -41,6 +42,10 @@ K7_REPORT_SHA256 = {
     0: "bcd188c145fac3d529a9b77ed5633069805a121e12f10ccb7186fb6489404dc8",
     1: "9f8e4072d282a46a57c716a76a42913f01e41be42a9a09776cb05a6dbaac4d8b",
 }
+
+# sha256 over the sorted "<file name> <sha256 of its bytes>\n" lines of the 182 reports that
+# `zdgraph batch --squarefree-below 300 --seed 0` writes: every small ring, fields and Z/2 included
+BATCH_300_SHA256 = "e4e1cc661f452e0571d605b691a895c3eee676071a6fcf98a659ddedb9408703"
 
 # sha256 of the --explicit export bytes, as `zdgraph export --zn N --graph G --format F --explicit` prints them
 EXPLICIT_EXPORT_SHA256 = {
@@ -217,6 +222,15 @@ def test_golden_table_covers_the_corpus(corpus):
 def test_seven_factor_report_bytes(seed):
     ring = build_ring(SquarefreeModulus(510510))
     assert _sha256(run_verification(ring, seed=seed).to_json_bytes()) == K7_REPORT_SHA256[seed]
+
+
+def test_batch_report_bytes(tmp_path, capsys):
+    assert main(["batch", "--squarefree-below", "300", "--seed", "0", "--out-dir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    reports = sorted(tmp_path.iterdir())
+    assert len(reports) == 182
+    listing = "".join(f"{p.name} {_sha256(p.read_bytes())}\n" for p in reports)
+    assert _sha256(listing.encode("utf-8")) == BATCH_300_SHA256
 
 
 def _export_bytes(n: int, kind: str, fmt: str, compressed: bool) -> bytes:

@@ -90,6 +90,15 @@ def test_crt_arithmetic_matches_residues(ps, a, b):
     x, y = ring.from_residue(a % n), ring.from_residue(b % n)
     assert str(ring.add(x, y)) == str((a + b) % n)
     assert str(ring.mul(x, y)) == str((a * b) % n)
+    assert str(ring.neg(x)) == str(-a % n)
+    # labels built from labels, checked against the residue and its coordinates
+    for got, residue in (
+        (ring.mul(ring.mul(x, y), x), a * b * a % n),
+        (ring.mul(ring.add(x, y), y), (a + b) * b % n),
+        (ring.neg(ring.mul(x, y)), -a * b % n),
+    ):
+        assert got.label == residue
+        assert got.coords == ring.from_residue(residue).coords
 
 
 @given(data=ring_and_masks())

@@ -6,14 +6,20 @@ every field included, on every multiset of {2, 3, 5, 7} with k = 2 ... 5,
 with its factors in ascending and in descending order (the order decides
 which coordinates carry the weight-one classes, and so the search path);
 sampling must return equal lists at k <= 8.
+
+The element walks must return equal lists, coordinates and residue labels
+included, for every mask of three small rings and for every ideal of
+Z/510510 with at most 20,000 elements.
 """
 
+import math
 from itertools import combinations_with_replacement
 
 import pytest
 
 import reference_engines
-from zdgraph import AG, GAMMA, PrimeFactors, build_ag, build_gamma, build_ring, domination
+from zdgraph import AG, GAMMA, PrimeFactors, SquarefreeModulus, build_ag, build_gamma, build_ring, domination
+from zdgraph.rings import Ideal, elements_of_ideal
 from zdgraph.verify import _sample_pairs
 
 MULTISETS = [qs for k in range(2, 6) for qs in combinations_with_replacement((2, 3, 5, 7), k)]
@@ -58,3 +64,37 @@ def test_sampling_matches_pair_list_engine(qs, seeds, caps):
                     suite = f"{G.kind}.check"
                     expected = reference_engines._sample_pairs(G, seed, suite, cap, same)
                     assert _sample_pairs(G, seed, suite, cap, same) == expected, (G.kind, seed, cap, same)
+
+
+def _with_labels(elements):
+    return [(e.coords, e.label) for e in elements]
+
+
+def _assert_walks_match(ring, mask):
+    got = elements_of_ideal(ring, Ideal(mask))
+    expected = reference_engines.elements_of_ideal(ring, Ideal(mask))
+    assert got == expected and _with_labels(got) == _with_labels(expected), mask
+    got = list(ring.elements_with_support(mask))
+    expected = list(reference_engines.elements_with_support(ring, mask))
+    assert got == expected and _with_labels(got) == _with_labels(expected), mask
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [PrimeFactors((2, 3, 5, 7)), PrimeFactors((3, 3, 5)), SquarefreeModulus(210)],
+    ids=["F2xF3xF5xF7", "F3xF3xF5", "Z210"],
+)
+def test_element_walks_match_odometer_walks(spec):
+    ring = build_ring(spec)
+    got, expected = list(ring.elements()), list(reference_engines.elements(ring))
+    assert got == expected and _with_labels(got) == _with_labels(expected)
+    for mask in range(1 << ring.k):
+        _assert_walks_match(ring, mask)
+
+
+def test_element_walks_match_on_small_ideals_of_z510510():
+    ring = build_ring(SquarefreeModulus(510510))
+    small = [m for m in range(1 << ring.k) if math.prod(q for i, q in enumerate(ring.qs) if m >> i & 1) <= 20_000]
+    assert len(small) == 114
+    for mask in small:
+        _assert_walks_match(ring, mask)

@@ -8,6 +8,7 @@ from zdgraph import (
     Ring,
     RingConstructionError,
     SquarefreeModulus,
+    TooManyElements,
     TooManyFactors,
     annihilating_ideals,
     annihilator_element,
@@ -102,6 +103,55 @@ def test_arithmetic_matches_residues(z30):
             assert z30.add(a, b) == z30.from_residue((x + y) % 30)
             assert z30.mul(a, b) == z30.from_residue((x * y) % 30)
             assert z30.neg(a) == z30.from_residue((-x) % 30)
+
+
+def test_products_without_a_modulus_render_as_coordinates():
+    ring = build_ring(PrimeFactors((2, 3, 5)))
+    x, y = ring.element((1, 2, 3)), ring.element((1, 2, 4))
+    assert str(ring.mul(x, y)) == "(1,1,2)"
+    assert str(ring.add(x, y)) == "(0,1,2)"
+    assert str(ring.neg(x)) == "(1,1,2)"
+
+
+def test_table_ring_products_render_as_coordinates():
+    t = zn_tables(30)
+    ring = build_ring(t)
+    for x in range(30):
+        for y in range(30):
+            p = ring.mul(ring.from_table_index(x), ring.from_table_index(y))
+            assert p.label is None
+            assert p == ring.from_table_index(t.mul[x][y])
+            assert str(p) == "(" + ",".join(map(str, p.coords)) + ")"
+
+
+def test_unlabelled_operands_get_the_crt_label(z30):
+    x, y = Element((1, 2, 3)), Element((1, 1, 4))  # 23 and 19 mod 30
+    assert z30.mul(x, y).label == 23 * 19 % 30
+    assert z30.mul(x, z30.from_residue(19)).label == 23 * 19 % 30
+    assert z30.add(x, y).label == (23 + 19) % 30
+    assert z30.neg(x).label == -23 % 30
+
+
+@pytest.mark.parametrize("coords", [(1, 2), (1, 2, 3, 4)])
+def test_wrong_coordinate_count_is_rejected(z30, coords):
+    bad, good = Element(coords), z30.from_residue(7)
+    for call in (
+        lambda: z30.element(coords),
+        lambda: z30.mul(bad, good),
+        lambda: z30.mul(good, bad),
+        lambda: z30.add(bad, good),
+        lambda: z30.add(good, bad),
+        lambda: z30.neg(bad),
+    ):
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            call()
+
+
+def test_element_cap_trips_on_iteration_not_on_call():
+    ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17, 19)))
+    walk = ring.elements()
+    with pytest.raises(TooManyElements):
+        next(walk)
 
 
 def test_zero_divisors_and_units(z30):
