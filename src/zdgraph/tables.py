@@ -78,6 +78,8 @@ def product_tables(qs: tuple[int, ...] | list[int]) -> TableRing:
 #
 # {"size": n, "one": i, "add": [[...], ...], "mul": [[...], ...]}
 # Matrices are row-major; rows may be nested lists or one flat list.
+# Indices are JSON integers; booleans are rejected although Python counts
+# them as ints.
 
 
 def table_to_json(t: TableRing) -> dict:
@@ -89,10 +91,14 @@ def table_to_json(t: TableRing) -> dict:
     }
 
 
+def _is_index(v, size: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < size
+
+
 def _parse_matrix(obj, size: int, name: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(obj, list):
         raise InputFormatError(f"{name} must be a list")
-    if obj and all(isinstance(x, int) for x in obj):
+    if obj and all(issubclass(t, int) for t in set(map(type, obj))):
         if len(obj) != size * size:
             raise InputFormatError(f"flat {name} must have {size * size} entries")
         rows = [tuple(obj[i * size:(i + 1) * size]) for i in range(size)]
@@ -105,8 +111,12 @@ def _parse_matrix(obj, size: int, name: str) -> tuple[tuple[int, ...], ...]:
                 raise InputFormatError(f"every {name} row must have {size} entries")
             rows.append(tuple(r))
     for row in rows:
+        # a row of plain ints in range passes whole; any other row is scanned
+        # entry by entry, which names its first bad entry
+        if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < size:
+            continue
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < size:
+            if not _is_index(v, size):
                 raise InputFormatError(f"{name} entry {v!r} is not an index below {size}")
     return tuple(rows)
 
@@ -119,9 +129,9 @@ def table_from_json(obj) -> TableRing:
         one = obj["one"]
     except KeyError as exc:
         raise InputFormatError(f"table document is missing field {exc.args[0]!r}") from None
-    if not isinstance(size, int) or size < 1:
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise InputFormatError(f"size must be a positive integer, got {size!r}")
-    if not isinstance(one, int) or not 0 <= one < size:
+    if not _is_index(one, size):
         raise InputFormatError(f"one must be an index below {size}, got {one!r}")
     add = _parse_matrix(obj.get("add"), size, "add")
     mul = _parse_matrix(obj.get("mul"), size, "mul")
@@ -161,16 +171,22 @@ def decompose_table_ring(t: TableRing) -> Ring:
     add, mul = t.add, t.mul
     zero = _find_zero(t)
 
+    # commutativity compares each row with its column, read off one transpose
+    columns = tuple(zip(*add))
     for x in range(n):
-        if add[x] != tuple(add[y][x] for y in range(n)):
+        if add[x] != columns[x]:
             raise NotAdditiveGroup(f"addition is not commutative at row {x}")
         if zero not in add[x]:
             raise NotAdditiveGroup(f"element {x} has no additive inverse")
+    columns = tuple(zip(*mul))
     for x in range(n):
-        row = mul[x]
-        for y in range(x + 1, n):
-            if row[y] != mul[y][x]:
-                raise NotCommutative((x, y))
+        if mul[x] != columns[x]:
+            # rows before x agree with their columns, so every mismatch in
+            # row x lies right of the diagonal: its first is the first pair
+            # (x, y), y > x, of a row-major scan
+            y = next(y for y in range(x + 1, n) if mul[x][y] != columns[x][y])
+            raise NotCommutative((x, y))
+    del columns
     if mul[t.one] != tuple(range(n)):
         raise NotUnital(f"index {t.one} is not a multiplicative identity")
     for x in range(n):
@@ -237,10 +253,28 @@ def decompose_table_ring(t: TableRing) -> Ring:
     if len(set(iso)) != n:
         raise DecompositionMismatch("coordinate map is not injective")
 
-    # round trip: the tables must agree with coordinatewise arithmetic
+    # round trip: the tables must agree with coordinatewise arithmetic, a
+    # whole row at a time.  In coordinate i, with c[x] = iso[x][i], row x of
+    # add agrees when c[add[x][y]] == (c[x] + c[y]) % q for every y: mapping
+    # c over the row gives shift[c[x]].  Likewise mul with scale.  Their
+    # entries are read out of one residue list, so a large prime factor
+    # costs pointers, not an int object per entry.
+    coordinates = []
+    for i, q in enumerate(qs):
+        c = [coords_x[i] for coords_x in iso]
+        residues = list(range(q))
+        shift = [list(map((residues[a:] + residues[:a]).__getitem__, c)) for a in residues]
+        scale = [list(map([residues[a * b % q] for b in residues].__getitem__, c)) for a in residues]
+        coordinates.append((c, shift, scale))
     for x in range(n):
-        ix = iso[x]
         arow, mrow = add[x], mul[x]
+        if all(
+            list(map(c.__getitem__, arow)) == shift[c[x]] and list(map(c.__getitem__, mrow)) == scale[c[x]]
+            for c, shift, scale in coordinates
+        ):
+            continue
+        # the first row that disagrees: name its first bad entry, add before mul
+        ix = iso[x]
         for y in range(n):
             iy = iso[y]
             if iso[arow[y]] != tuple((a + b) % q for a, b, q in zip(ix, iy, qs)):

@@ -7,10 +7,14 @@ sampling grouped plain mask pairs.  The only edits: `G.adjacency()` and
 `adjacency(G)`, built here by a plain disjointness scan, and
 `class_index(G, mask)`.
 
-`elements`, `elements_with_support` and `elements_of_ideal` at the end are
-the odometer and recursive element walks the package used before it walked
+`elements`, `elements_with_support` and `elements_of_ideal` are the
+odometer and recursive element walks the package used before it walked
 `itertools.product`, copied verbatim; the two `Ring` methods take the ring
 as a plain `self` argument.
+
+`decompose_table_ring` at the end is the table decomposer the package used
+before its checks compared whole rows: every check scans entry by entry.
+It is copied verbatim.
 """
 
 from __future__ import annotations
@@ -19,7 +23,17 @@ import functools
 import math
 import random
 
-from zdgraph.errors import IsolatedVertex, TooManyElements
+from zdgraph.errors import (
+    DecompositionMismatch,
+    FactorNotField,
+    FactorNotPrimeField,
+    IsolatedVertex,
+    NotAdditiveGroup,
+    NotCommutative,
+    NotReduced,
+    NotUnital,
+    TooManyElements,
+)
 from zdgraph.graphs import (
     DOMINATION_NODE_BUDGET,
     DominationResult,
@@ -27,7 +41,8 @@ from zdgraph.graphs import (
     Vertex,
     _validate_domination,
 )
-from zdgraph.rings import ELEMENT_CAP, Element, Ideal, Ring, iter_bits
+from zdgraph.rings import ELEMENT_CAP, Element, Ideal, Ring, TableRing, _is_prime, iter_bits
+from zdgraph.tables import _find_zero
 
 
 @functools.cache
@@ -266,3 +281,105 @@ def elements_of_ideal(ring: Ring, ideal: Ideal) -> list[Element]:
 
     rec(0)
     return members
+
+
+def decompose_table_ring(t: TableRing) -> Ring:
+    """Split a table ring along primitive idempotents into prime fields.
+
+    Factors are ordered by field size, ties broken by the smallest table
+    index among the primitive idempotents, so the result is deterministic.
+    Raises the specific construction error when the tables fail to describe
+    a reduced commutative unital ring that is a product of prime fields.
+    """
+    n = t.size
+    add, mul = t.add, t.mul
+    zero = _find_zero(t)
+
+    for x in range(n):
+        if add[x] != tuple(add[y][x] for y in range(n)):
+            raise NotAdditiveGroup(f"addition is not commutative at row {x}")
+        if zero not in add[x]:
+            raise NotAdditiveGroup(f"element {x} has no additive inverse")
+    for x in range(n):
+        row = mul[x]
+        for y in range(x + 1, n):
+            if row[y] != mul[y][x]:
+                raise NotCommutative((x, y))
+    if mul[t.one] != tuple(range(n)):
+        raise NotUnital(f"index {t.one} is not a multiplicative identity")
+    for x in range(n):
+        if x != zero and mul[x][x] == zero:
+            raise NotReduced(x)
+
+    idempotents = [x for x in range(n) if mul[x][x] == x]
+    primitives = []
+    for e in idempotents:
+        if e == zero:
+            continue
+        if all(mul[e][f] in (zero, e) for f in idempotents):
+            primitives.append(e)
+
+    # orthogonality and completeness of the primitive family
+    for i, e in enumerate(primitives):
+        for f in primitives[i + 1:]:
+            if mul[e][f] != zero:
+                raise FactorNotField((e, f))
+    total = zero
+    for e in primitives:
+        total = add[total][e]
+    if total != t.one:
+        raise FactorNotField(f"primitive idempotents sum to {total}, not the identity")
+
+    factors = []
+    for e in primitives:
+        members = sorted(set(mul[e][x] for x in range(n)))
+        q = len(members)
+        if not _is_prime(q):
+            # a field factor of non-prime order (such as F_4) is out of scope
+            inverses_ok = True
+            for m in members:
+                if m == zero:
+                    continue
+                if not any(mul[m][x] == e for x in members):
+                    inverses_ok = False
+                    break
+            if inverses_ok:
+                raise FactorNotPrimeField(q)
+            raise FactorNotField(e)
+        # walk the additive multiples of e; a prime-order factor must be Z_q
+        multiples = {zero: 0}
+        cur = zero
+        for m in range(1, q):
+            cur = add[cur][e]
+            multiples[cur] = m
+        if len(multiples) != q or set(multiples) != set(members):
+            raise FactorNotField(e)
+        factors.append((q, e, multiples))
+
+    factors.sort(key=lambda item: (item[0], item[1]))
+    qs = tuple(q for q, _, _ in factors)
+
+    iso = []
+    for x in range(n):
+        coords = []
+        for q, e, multiples in factors:
+            part = mul[e][x]
+            if part not in multiples:
+                raise DecompositionMismatch(x)
+            coords.append(multiples[part])
+        iso.append(tuple(coords))
+    if len(set(iso)) != n:
+        raise DecompositionMismatch("coordinate map is not injective")
+
+    # round trip: the tables must agree with coordinatewise arithmetic
+    for x in range(n):
+        ix = iso[x]
+        arow, mrow = add[x], mul[x]
+        for y in range(n):
+            iy = iso[y]
+            if iso[arow[y]] != tuple((a + b) % q for a, b, q in zip(ix, iy, qs)):
+                raise DecompositionMismatch((x, y, "add"))
+            if iso[mrow[y]] != tuple((a * b) % q for a, b, q in zip(ix, iy, qs)):
+                raise DecompositionMismatch((x, y, "mul"))
+
+    return Ring(qs=qs, table_iso=tuple(iso))

@@ -151,6 +151,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--table", str(path))
         assert code == EXIT_INPUT
 
+    def test_boolean_table_entry_is_input_error(self, capsys, tmp_path):
+        doc = table_to_json(zn_tables(2))
+        doc["add"][0][1] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--table", str(path))
+        assert code == EXIT_INPUT
+        assert "add entry True is not an index below 2" in err
+        assert "Traceback" not in err and out == ""
+
     def test_missing_table_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--table", str(tmp_path / "absent.json"))
         assert code == EXIT_INPUT

@@ -1,7 +1,12 @@
+import functools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_engines
 from zdgraph import (
     DecompositionMismatch,
     FactorNotPrimeField,
@@ -10,6 +15,7 @@ from zdgraph import (
     NotCommutative,
     NotReduced,
     NotUnital,
+    RingConstructionError,
     TableOracle,
     build_ring,
     load_table_file,
@@ -17,6 +23,7 @@ from zdgraph import (
     table_to_json,
     zn_tables,
 )
+from zdgraph.cli import EXIT_OK, main
 from zdgraph.rings import TableRing
 from zdgraph.tables import decompose_table_ring, product_tables
 
@@ -87,6 +94,112 @@ def test_rejects_broken_structures():
         decompose_table_ring(TableRing(2, 1, ((0, 1), (1, 0)), ((0, 0), (0, 0))))
 
 
+def _corrupted(t: TableRing, *changes) -> TableRing:
+    """t with each (table, x, y, value) written into the named table."""
+    tables = {"add": [list(row) for row in t.add], "mul": [list(row) for row in t.mul]}
+    for name, x, y, v in changes:
+        tables[name][x][y] = v
+    return TableRing(t.size, t.one, *(tuple(map(tuple, tables[name])) for name in ("add", "mul")))
+
+
+def test_commutativity_names_the_first_pair():
+    t = zn_tables(30)
+    # one-sided changes below the diagonal at (20, 7) and (9, 4): the pairs
+    # (x, y), y > x, that differ are (7, 20) and (4, 9), the first in row-major order
+    with pytest.raises(NotCommutative) as exc:
+        decompose_table_ring(_corrupted(t, ("mul", 20, 7, 0), ("mul", 9, 4, 0)))
+    assert exc.value.args == ("multiplication table is not commutative, witness pair (4, 9)",)
+    assert exc.value.witness == (4, 9)
+    with pytest.raises(NotCommutative) as exc:
+        decompose_table_ring(_corrupted(t, ("mul", 7, 20, 0), ("mul", 3, 11, 0)))
+    assert exc.value.witness == (3, 11)
+    with pytest.raises(NotAdditiveGroup) as exc:
+        decompose_table_ring(_corrupted(t, ("add", 20, 7, 0)))
+    assert exc.value.args == ("addition is not commutative at row 7",)
+
+
+def test_round_trip_names_the_first_bad_entry():
+    t = zn_tables(30)
+    # symmetric changes away from the zero row, the identity row, the diagonal
+    # and the idempotent rows get past commutativity, unit, reducedness and
+    # the factor checks; only the round trip sees them
+    cases = [
+        ((("mul", 2, 3, 7), ("mul", 3, 2, 7)), (2, 3, "mul")),
+        ((("add", 2, 3, 6), ("add", 3, 2, 6)), (2, 3, "add")),
+        ((("add", 2, 3, 6), ("add", 3, 2, 6), ("mul", 2, 3, 7), ("mul", 3, 2, 7)), (2, 3, "add")),
+        ((("add", 4, 9, 0), ("add", 9, 4, 0), ("mul", 4, 7, 1), ("mul", 7, 4, 1)), (4, 7, "mul")),
+        ((("add", 11, 13, 0), ("add", 13, 11, 0), ("mul", 8, 29, 2), ("mul", 29, 8, 2)), (8, 29, "mul")),
+    ]
+    for changes, witness in cases:
+        with pytest.raises(DecompositionMismatch) as exc:
+            decompose_table_ring(_corrupted(t, *changes))
+        assert exc.value.witness == witness
+        assert exc.value.args == (f"coordinatewise operations disagree with tables at {witness}",)
+
+
+def relabelled(t: TableRing, seed: int) -> TableRing:
+    """The same ring with index i renamed perm[i], perm shuffled by random.Random(seed)."""
+    n = t.size
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    inv = sorted(range(n), key=perm.__getitem__)
+
+    def rename(rows):
+        return tuple(tuple(perm[rows[inv[a]][inv[b]]] for b in range(n)) for a in range(n))
+
+    return TableRing(n, perm[t.one], rename(t.add), rename(t.mul))
+
+
+def _outcome(decompose, t: TableRing):
+    try:
+        ring = decompose(t)
+    except RingConstructionError as exc:
+        return type(exc), exc.args
+    return ring.qs, ring.table_iso
+
+
+_product_tables = functools.cache(product_tables)
+
+
+@st.composite
+def corrupted_product_tables(draw):
+    """Relabelled F_q1 x ... x F_qk tables (k <= 3) with up to two entries overwritten.
+
+    An overwrite sets one add or mul entry, and with it the mirrored entry
+    when it is symmetric.
+    """
+    qs = tuple(sorted(draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=3))))
+    t = relabelled(_product_tables(qs), draw(st.integers(0, 2**16)))
+    n = t.size
+    changes = []
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(("add", "mul")))
+        x, y, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+        changes.append((name, x, y, v))
+        if draw(st.booleans()):
+            changes.append((name, y, x, v))
+    return _corrupted(t, *changes)
+
+
+@given(t=corrupted_product_tables())
+@settings(max_examples=150, deadline=None)
+def test_decomposition_matches_entry_scan(t):
+    assert _outcome(decompose_table_ring, t) == _outcome(reference_engines.decompose_table_ring, t)
+
+
+@pytest.mark.parametrize("n", [30, 210, 330])
+def test_relabelled_tables_give_identical_reports(n, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table_to_json(relabelled(zn_tables(n), n))))
+    reports = []
+    for ring in (["--table", str(path)], ["--zn", str(n)]):
+        out = tmp_path / f"report{len(reports)}.json"
+        assert main(["verify", *ring, "--seed", "3", "--report", str(out)]) == EXIT_OK
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
 def test_json_round_trip(tmp_path):
     t = zn_tables(10)
     doc = table_to_json(t)
@@ -111,6 +224,57 @@ def test_json_rejects_malformed():
         table_from_json({"size": 2, "one": 1, "add": [[0, 9], [1, 0]], "mul": [[0, 0], [0, 1]]})
     with pytest.raises(InputFormatError):
         table_from_json({"one": 1, "add": [], "mul": []})
+
+
+Z3_ADD = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+Z3_MUL = [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
+
+
+def _z3_doc(add_changes=(), flat=False, **fields):
+    add = [row[:] for row in Z3_ADD]
+    for x, y, v in add_changes:
+        add[x][y] = v
+    if flat:
+        add = [v for row in add for v in row]
+    return {"size": 3, "one": 1, "add": add, "mul": Z3_MUL, **fields}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_z3_doc(size=True, one=0), "size must be a positive integer, got True"),
+        (_z3_doc(one=True), "one must be an index below 3, got True"),
+        (_z3_doc(one=False), "one must be an index below 3, got False"),
+        (_z3_doc([(2, 1, True)]), "add entry True is not an index below 3"),
+        (_z3_doc([(0, 0, False)], flat=True), "add entry False is not an index below 3"),
+        ({**_z3_doc(), "mul": [[0, 0, 0], [0, 1, 2], [0, 2, True]]}, "mul entry True is not an index below 3"),
+    ],
+)
+def test_json_rejects_booleans(doc, message):
+    with pytest.raises(InputFormatError) as exc:
+        table_from_json(doc)
+    assert str(exc.value) == message
+
+
+# the first bad entry in row-major order is named; a flat list holding a
+# non-integer is read as a list of rows and fails the row count
+@pytest.mark.parametrize(
+    "changes, flat, message",
+    [
+        ([(0, 2, 1.5), (2, 1, -1)], False, "add entry 1.5 is not an index below 3"),
+        ([(1, 0, "2"), (2, 2, 7)], False, "add entry '2' is not an index below 3"),
+        ([(1, 2, -1), (2, 0, 2.0)], False, "add entry -1 is not an index below 3"),
+        ([(2, 1, 3)], False, "add entry 3 is not an index below 3"),
+        ([(0, 2, 1.5)], True, "add must have 3 rows"),
+        ([(2, 1, "2")], True, "add must have 3 rows"),
+        ([(1, 0, -1), (2, 1, 5)], True, "add entry -1 is not an index below 3"),
+        ([(2, 2, 3)], True, "add entry 3 is not an index below 3"),
+    ],
+)
+def test_json_parse_errors_name_the_first_bad_entry(changes, flat, message):
+    with pytest.raises(InputFormatError) as exc:
+        table_from_json(_z3_doc(changes, flat=flat))
+    assert str(exc.value) == message
 
 
 def test_table_oracle_against_theory(z30):
