@@ -98,7 +98,7 @@ from .spectrum import (
     sz_closure,
     zero_set,
 )
-from .tables import TableOracle, load_table_file, product_tables, table_from_json, table_to_json, zn_tables
+from .tables import load_table_file, product_tables, table_from_json, table_to_json, zn_tables
 from .verify import (
     ALL_SUITES,
     CheckRecord,

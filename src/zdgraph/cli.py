@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 unregistered verification violations, 3 bad input
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .errors import (
     TooManyFactors,
     ZdgraphError,
 )
-from .exports import graph_to_dot, graph_to_json, json_bytes, write_bytes_atomic, write_text_atomic
+from .exports import graph_to_dot, graph_to_json, json_bytes, write_bytes_atomic
 from .graphs import build_ag, build_gamma, domination, radius, vertex_label
 from .rings import (
     DEFAULT_MAX_FACTORS,
@@ -83,6 +82,14 @@ def _ring_title(ring: Ring) -> str:
     if ring.modulus is not None:
         return f"{name} (Z/{ring.modulus})"
     return name
+
+
+def _emit(data: bytes, path: str | None = None) -> None:
+    """Write command output atomically to `path`, or to stdout without one."""
+    if path:
+        write_bytes_atomic(path, data)
+    else:
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _parse_suites(raw: str | None) -> tuple[str, ...] | None:
@@ -170,7 +177,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         doc["ag"] = None
 
     if args.json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _emit(json_bytes(doc))
         return EXIT_OK
 
     print(f"ring {_ring_title(ring)} with {ring.size} elements")
@@ -197,17 +204,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     ring = _ring_from_args(args)
     G = build_gamma(ring) if args.graph == "gamma" else build_ag(ring)
     if args.format == "dot":
-        text = graph_to_dot(G, compressed=not args.explicit)
-        if args.output:
-            write_text_atomic(args.output, text)
-        else:
-            sys.stdout.write(text)
+        data = graph_to_dot(G, compressed=not args.explicit).encode("utf-8")
     else:
         data = json_bytes(graph_to_json(G, compressed=not args.explicit))
-        if args.output:
-            write_bytes_atomic(args.output, data)
-        else:
-            sys.stdout.write(data.decode("utf-8"))
+    _emit(data, args.output)
     return EXIT_OK
 
 
@@ -235,21 +235,16 @@ def _cmd_dominate(args: argparse.Namespace) -> int:
     result = domination(G, total=args.total)
     labels = [vertex_label(G, v) for v in result.witness]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "ring": ring.describe(),
-                    "graph": args.graph,
-                    "total": args.total,
-                    "size": result.size,
-                    "certified": result.certified,
-                    "witness": labels,
-                    "nodes_explored": result.nodes,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        doc = {
+            "ring": ring.describe(),
+            "graph": args.graph,
+            "total": args.total,
+            "size": result.size,
+            "certified": result.certified,
+            "witness": labels,
+            "nodes_explored": result.nodes,
+        }
+        _emit(json_bytes(doc))
         return EXIT_OK
     flavor = "total dominating" if args.total else "dominating"
     certified = "certified" if result.certified else "NOT certified (budget hit)"

@@ -6,11 +6,13 @@ import json
 import os
 from pathlib import Path
 
-from .explicit import ExplicitGraph, materialize
-from .graphs import GraphView, _submasks, vertex_label
-from .rings import render_support
+from .errors import TooManyElements
+from .graphs import GraphView, vertex_label
+from .rings import env_int, render_support, submasks
 
 EXPORT_FORMAT = 1
+DEFAULT_EXPLICIT_CAP = 4096
+ENV_EXPLICIT_CAP = "ZDGRAPH_EXPLICIT_CAP"
 
 
 def _graph_name(G: GraphView) -> str:
@@ -18,60 +20,45 @@ def _graph_name(G: GraphView) -> str:
     return f"{G.kind}_F{qs}"
 
 
-def compressed_nodes(G: GraphView) -> list[dict]:
-    return [
-        {
-            "id": m - 1,
-            "mask": m,
-            "support": render_support(m),
-            "weight": w,
-        }
-        for m, w in zip(G.classes, G.weights)
+def _graph_parts(G: GraphView, compressed: bool) -> tuple[list[dict], list[list[int]], list[str]]:
+    """The JSON nodes, the id-pair edges and the DOT labels of one graph form.
+
+    The compressed form has one node per support class; the explicit form
+    one per vertex, at most ZDGRAPH_EXPLICIT_CAP of them.  Edges join
+    disjoint masks and are listed by ascending first id, then second id.
+    """
+    if compressed:
+        nodes = [
+            {"id": m - 1, "mask": m, "support": render_support(m), "weight": w}
+            for m, w in zip(G.classes, G.weights)
+        ]
+        edges = [[m - 1, s - 1] for m in G.classes for s in submasks(G.full_mask & ~m) if m < s]
+        return nodes, edges, [f"S={node['support']} (w={node['weight']})" for node in nodes]
+    limit = env_int(ENV_EXPLICIT_CAP, DEFAULT_EXPLICIT_CAP)
+    n = G.vertex_count()
+    if n > limit:
+        raise TooManyElements(n, limit)
+    vertices = list(G.vertices())
+    labels = [vertex_label(G, v) for v in vertices]
+    nodes = [
+        {"id": i, "mask": v.mask, "copy": v.copy, "support": render_support(v.mask), "label": label}
+        for i, (v, label) in enumerate(zip(vertices, labels))
     ]
-
-
-def compressed_edges(G: GraphView) -> list[list[int]]:
-    full = G.full_mask
-    return [[m - 1, s - 1] for m in G.classes for s in _submasks(full & ~m) if m < s]
-
-
-def explicit_nodes(G: GraphView, eg: ExplicitGraph) -> list[dict]:
-    return [
-        {
-            "id": i,
-            "mask": v.mask,
-            "copy": v.copy,
-            "support": render_support(v.mask),
-            "label": vertex_label(G, v),
-        }
-        for i, v in enumerate(eg.labels)
-    ]
-
-
-def explicit_edges(eg: ExplicitGraph) -> list[list[int]]:
-    out = []
-    for i in range(eg.n):
-        for j in sorted(eg.adj[i]):
-            if i < j:
-                out.append([i, j])
-    return out
+    masks = [v.mask for v in vertices]
+    edges = [[i, j] for i, a in enumerate(masks) for j in range(i + 1, n) if not a & masks[j]]
+    return nodes, edges, labels
 
 
 def graph_to_json(G: GraphView, compressed: bool = True) -> dict:
-    doc = {
+    nodes, edges, _ = _graph_parts(G, compressed)
+    return {
         "format": EXPORT_FORMAT,
         "graph": G.kind,
         "ring": G.ring.describe(),
         "compressed": compressed,
+        "nodes": nodes,
+        "edges": edges,
     }
-    if compressed:
-        doc["nodes"] = compressed_nodes(G)
-        doc["edges"] = compressed_edges(G)
-    else:
-        eg = materialize(G)
-        doc["nodes"] = explicit_nodes(G, eg)
-        doc["edges"] = explicit_edges(eg)
-    return doc
 
 
 def json_bytes(doc: dict) -> bytes:
@@ -83,20 +70,10 @@ def _quote(text: str) -> str:
 
 
 def graph_to_dot(G: GraphView, compressed: bool = True) -> str:
-    lines = [f"graph {_graph_name(G)} {{"]
-    lines.append("  node [shape=circle];")
-    if compressed:
-        for node in compressed_nodes(G):
-            label = f"S={node['support']} (w={node['weight']})"
-            lines.append(f"  n{node['id']} [label={_quote(label)}];")
-        for i, j in compressed_edges(G):
-            lines.append(f"  n{i} -- n{j};")
-    else:
-        eg = materialize(G)
-        for i, v in enumerate(eg.labels):
-            lines.append(f"  n{i} [label={_quote(vertex_label(G, v))}];")
-        for i, j in explicit_edges(eg):
-            lines.append(f"  n{i} -- n{j};")
+    _, edges, labels = _graph_parts(G, compressed)
+    lines = [f"graph {_graph_name(G)} {{", "  node [shape=circle];"]
+    lines += [f"  n{i} [label={_quote(label)}];" for i, label in enumerate(labels)]
+    lines += [f"  n{i} -- n{j};" for i, j in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -111,7 +88,3 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def write_text_atomic(path: str | Path, text: str) -> None:
-    write_bytes_atomic(path, text.encode("utf-8"))

@@ -24,6 +24,7 @@ from .rings import (
     annihilating_ideals,
     iter_bits,
     render_support,
+    submasks,
 )
 from .spectrum import sz_closure
 
@@ -32,13 +33,6 @@ AG = "ag"
 
 Infinite = math.inf
 DOMINATION_NODE_BUDGET = 500_000
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    """The nonempty submasks of `mask`, in ascending order."""
-    sub = 0
-    while sub := (sub - mask) & mask:
-        yield sub
 
 
 @dataclass(frozen=True)
@@ -183,13 +177,6 @@ def _lattice(k: int) -> tuple[str, tuple[int, ...], int]:
 
 def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
-
-
-def _members(bits: int) -> Iterator[int]:
-    """The masks in the class set `bits`, ascending."""
-    while bits:
-        yield _lowest(bits)
-        bits &= bits - 1
 
 
 def _neighbors(lat: tuple[str, tuple[int, ...], int], bits: int) -> int:
@@ -505,7 +492,7 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
         covered = _neighbors(lat, one | every)
         if not total:
             covered |= every | (one & weight_one)
-        uncovered = list(_members(lat[2] & ~covered))
+        uncovered = list(iter_bits(lat[2] & ~covered))
         if not uncovered:
             if cost < best[0]:
                 best = (cost, one, every)
@@ -518,7 +505,7 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
         opts = [(1 << b, ONE) for b in iter_bits(comp)]
         if not total:
             # a singleton with one copy is already above
-            opts += [(s, FULL) for s in _submasks(comp) if s & (s - 1) or ws[s - 1] > 1]
+            opts += [(s, FULL) for s in submasks(comp) if s & (s - 1) or ws[s - 1] > 1]
             opts.append((target, FULL))
         opts.sort(key=lambda o: (choice_cost(one, every, *o), -(full & ~o[0]).bit_count(), o[0], o[1]))
         for m, lev in opts:
@@ -535,8 +522,8 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
         search(0, 0, 0)
 
     size, one, every = best
-    witness = [Vertex(m, 0) for m in _members(one)]
-    witness += [Vertex(m, c) for m in _members(every) for c in range(ws[m - 1])]
+    witness = [Vertex(m, 0) for m in iter_bits(one)]
+    witness += [Vertex(m, c) for m in iter_bits(every) for c in range(ws[m - 1])]
     witness.sort(key=lambda v: (v.mask, v.copy))
 
     _validate_domination(G, witness, total)
@@ -600,7 +587,7 @@ def retract_check(ring: Ring) -> RetractReport:
 
     preserves = True
     for a in members:
-        for b in _submasks(ring.full_mask & ~a.mask):
+        for b in submasks(ring.full_mask & ~a.mask):
             if a.mask < b:
                 pa, pb = closed[a.mask], closed[b]
                 if pa & pb != 0 or pa == pb:

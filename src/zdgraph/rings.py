@@ -63,12 +63,18 @@ def indices_of(mask: int) -> frozenset[int]:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    i = 0
+    """The positions of the set bits of `mask`, ascending."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """The nonempty submasks of `mask`, in ascending order."""
+    sub = 0
+    while sub := (sub - mask) & mask:
+        yield sub
 
 
 def render_support(mask: int) -> str:

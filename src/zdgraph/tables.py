@@ -1,18 +1,15 @@
-"""Table-ring input: validation, decomposition into prime fields, and oracles.
+"""Table-ring input: validation and decomposition into prime fields.
 
 A table ring is the fully explicit form of a finite ring: addition and
 multiplication as index matrices.  Decomposition splits the ring along its
 primitive idempotents, maps each factor to a prime field, and round-trips
 the tables against coordinatewise arithmetic, so a successful decomposition
 is itself a proof that the input was a valid reduced commutative ring.
-The oracle class below recomputes annihilators, ideals, and primes straight
-from the tables and is used to cross-check the coordinate machinery.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import (
     DecompositionMismatch,
@@ -98,7 +95,7 @@ def _is_index(v, size: int) -> bool:
 def _parse_matrix(obj, size: int, name: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(obj, list):
         raise InputFormatError(f"{name} must be a list")
-    if obj and all(issubclass(t, int) for t in set(map(type, obj))):
+    if obj and not any(issubclass(t, list) for t in set(map(type, obj))):
         if len(obj) != size * size:
             raise InputFormatError(f"flat {name} must have {size * size} entries")
         rows = [tuple(obj[i * size:(i + 1) * size]) for i in range(size)]
@@ -283,83 +280,3 @@ def decompose_table_ring(t: TableRing) -> Ring:
                 raise DecompositionMismatch((x, y, "mul"))
 
     return Ring(qs=qs, table_iso=tuple(iso))
-
-
-# ---------------------------------------------------------------------------
-# table-mode oracle
-
-
-@dataclass
-class TableOracle:
-    """Recomputes ring-theoretic data straight from the tables.
-
-    Everything here is deliberately brute force; it exists to cross-check
-    the coordinate implementations on small rings.
-    """
-
-    t: TableRing
-
-    def __post_init__(self):
-        self.n = self.t.size
-        self.zero = _find_zero(self.t)
-
-    def annihilator(self, x: int) -> frozenset[int]:
-        mul = self.t.mul
-        return frozenset(y for y in range(self.n) if mul[x][y] == self.zero)
-
-    def zero_divisors(self) -> set[int]:
-        """Nonzero elements with a nonzero annihilator."""
-        out = set()
-        for x in range(self.n):
-            if x == self.zero:
-                continue
-            if any(y != self.zero for y in self.annihilator(x)):
-                out.add(x)
-        return out
-
-    def principal(self, x: int) -> frozenset[int]:
-        return frozenset(self.t.mul[x])
-
-    def all_ideals(self) -> list[frozenset[int]]:
-        """Close the principal ideals under pairwise sum until a fixpoint."""
-        add = self.t.add
-        ideals = {self.principal(x) for x in range(self.n)}
-        changed = True
-        while changed:
-            changed = False
-            current = list(ideals)
-            for i, A in enumerate(current):
-                for B in current[i:]:
-                    s = frozenset(add[a][b] for a in A for b in B)
-                    if s not in ideals:
-                        ideals.add(s)
-                        changed = True
-        return sorted(ideals, key=lambda s: (len(s), sorted(s)))
-
-    def is_prime_ideal(self, S: frozenset[int]) -> bool:
-        if len(S) == self.n:
-            return False
-        mul = self.t.mul
-        for x in range(self.n):
-            if x in S:
-                continue
-            row = mul[x]
-            for y in range(x, self.n):
-                if y not in S and row[y] in S:
-                    return False
-        return True
-
-    def minimal_primes(self) -> list[frozenset[int]]:
-        primes = [S for S in self.all_ideals() if self.is_prime_ideal(S)]
-        return [P for P in primes if not any(Q < P for Q in primes)]
-
-    def bourbaki_primes(self) -> list[tuple[frozenset[int], int]]:
-        """Primes of the form Ann(x), each with one witness element."""
-        found: dict[frozenset[int], int] = {}
-        for x in range(self.n):
-            if x == self.zero:
-                continue
-            ann = self.annihilator(x)
-            if ann not in found and self.is_prime_ideal(ann):
-                found[ann] = x
-        return sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))

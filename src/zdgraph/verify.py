@@ -15,7 +15,6 @@ package version always produce byte-identical JSON.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from enum import Enum
 
 from .edge_cases import Registry, load_registry
 from .errors import InputFormatError
+from .exports import json_bytes
 from .graphs import (
     GraphView,
     Vertex,
@@ -168,9 +168,7 @@ class VerificationReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        return (
-            json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-        ).encode("utf-8")
+        return json_bytes(self.to_dict())
 
     def summary_lines(self) -> list[str]:
         c = self.counts()

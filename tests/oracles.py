@@ -1,10 +1,10 @@
-"""Uncompressed graphs and brute-force oracles.
+"""Uncompressed graphs and brute-force oracles, for the tests only.
 
-Everything here recomputes graph facts the slow, literal way: explicit
-vertex lists, breadth-first search, subset enumeration, path enumeration.
-The verification layer and the test suite compare these answers against the
+Everything here recomputes graph and ring facts the slow, literal way:
+explicit vertex lists, breadth-first search, subset enumeration, path
+enumeration, operation tables.  The tests compare these answers against the
 compressed engine, so nothing in this module may consult the closed forms
-it is checking.
+it is checking, and the package never imports it.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InternalInconsistency, TooManyElements
-from .graphs import GraphView, Vertex, gamma_vertex
-from .rings import Ring, annihilating_ideals, env_int, ideal_product
+from zdgraph.errors import InternalInconsistency, TooManyElements
+from zdgraph.exports import DEFAULT_EXPLICIT_CAP, ENV_EXPLICIT_CAP
+from zdgraph.graphs import GraphView, Vertex, gamma_vertex
+from zdgraph.rings import Ring, TableRing, annihilating_ideals, env_int, ideal_product
 
-DEFAULT_EXPLICIT_CAP = 4096
-ENV_EXPLICIT_CAP = "ZDGRAPH_EXPLICIT_CAP"
 ENUMERATION_MAX_LENGTH = 8
 ENUMERATION_MAX_PATHS = 500_000
 EXHAUSTIVE_MAX_VERTICES = 24
@@ -276,3 +275,91 @@ def exhaustive_domination(eg: ExplicitGraph, total: bool = False) -> tuple[int, 
             if ok:
                 return size, combo
     raise InternalInconsistency("no dominating set found")
+
+
+# ---------------------------------------------------------------------------
+# table-mode oracle
+
+
+@dataclass
+class TableOracle:
+    """Recomputes ring-theoretic data straight from the tables.
+
+    Everything here is deliberately brute force; it exists to cross-check
+    the coordinate implementations on small rings.  It finds the additive
+    zero with its own scan, so a fault in the decomposer's search cannot
+    pass on both sides.
+    """
+
+    t: TableRing
+
+    def __post_init__(self):
+        self.n = self.t.size
+        add = self.t.add
+        for z in range(self.n):
+            if all(add[z][y] == y for y in range(self.n)):
+                self.zero = z
+                break
+        else:
+            raise ValueError("the tables have no additive zero")
+
+    def annihilator(self, x: int) -> frozenset[int]:
+        mul = self.t.mul
+        return frozenset(y for y in range(self.n) if mul[x][y] == self.zero)
+
+    def zero_divisors(self) -> set[int]:
+        """Nonzero elements with a nonzero annihilator."""
+        out = set()
+        for x in range(self.n):
+            if x == self.zero:
+                continue
+            if any(y != self.zero for y in self.annihilator(x)):
+                out.add(x)
+        return out
+
+    def principal(self, x: int) -> frozenset[int]:
+        return frozenset(self.t.mul[x])
+
+    def all_ideals(self) -> list[frozenset[int]]:
+        """Close the principal ideals under pairwise sum until a fixpoint."""
+        add = self.t.add
+        ideals = {self.principal(x) for x in range(self.n)}
+        changed = True
+        while changed:
+            changed = False
+            current = list(ideals)
+            for i, A in enumerate(current):
+                for B in current[i:]:
+                    s = frozenset(add[a][b] for a in A for b in B)
+                    if s not in ideals:
+                        ideals.add(s)
+                        changed = True
+        return sorted(ideals, key=lambda s: (len(s), sorted(s)))
+
+    def is_prime_ideal(self, S: frozenset[int]) -> bool:
+        if len(S) == self.n:
+            return False
+        mul = self.t.mul
+        for x in range(self.n):
+            if x in S:
+                continue
+            row = mul[x]
+            for y in range(x, self.n):
+                if y not in S and row[y] in S:
+                    return False
+        return True
+
+    def minimal_primes(self) -> list[frozenset[int]]:
+        primes = [S for S in self.all_ideals() if self.is_prime_ideal(S)]
+        return [P for P in primes if not any(Q < P for Q in primes)]
+
+    def bourbaki_primes(self) -> list[tuple[frozenset[int], int]]:
+        """Primes of the form Ann(x), each with one witness element."""
+        found: dict[frozenset[int], int] = {}
+        for x in range(self.n):
+            if x == self.zero:
+                continue
+            ann = self.annihilator(x)
+            if ann not in found and self.is_prime_ideal(ann):
+                found[ann] = x
+        return sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))

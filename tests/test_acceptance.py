@@ -41,7 +41,7 @@ from zdgraph import (
 )
 from zdgraph.cli import EXIT_OK, main as cli_main
 from zdgraph.corpus import canonical_corpus, squarefree_moduli
-from zdgraph.explicit import (
+from oracles import (
     ag_from_ideal_products,
     bfs_distances,
     bfs_eccentricity,

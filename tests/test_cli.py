@@ -71,6 +71,17 @@ class TestExport:
         assert code == EXIT_OK
         assert out.count(" -- ") == 38
 
+    def test_explicit_above_cap_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("ZDGRAPH_EXPLICIT_CAP", "10")
+        target = tmp_path / "F"
+        code, out, err = run(
+            capsys, "export", "--zn", "30", "--graph", "gamma", "--explicit", "--output", str(target)
+        )
+        assert code == EXIT_RESOURCE
+        assert "resource cap" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_graph(self, capsys):
         code, out, _ = run(
             capsys, "export", "--zn", "30", "--graph", "ag", "--format", "json"

@@ -5,6 +5,7 @@ materialized vertex list with plain BFS / scanning, on rings small enough to
 afford it.  Any disagreement is a bug in one of the two layers.
 """
 
+import json
 import math
 
 import pytest
@@ -24,7 +25,7 @@ from zdgraph import (
     is_triangle_vertex,
     orthogonal,
 )
-from zdgraph.explicit import (
+from oracles import (
     ag_from_ideal_products,
     bfs_distance,
     bfs_distances,
@@ -40,7 +41,8 @@ from zdgraph.explicit import (
     scan_pendant,
     scan_triangle_vertex,
 )
-from zdgraph.graphs import diameter, radius
+from zdgraph.cli import EXIT_OK, main
+from zdgraph.graphs import Vertex, diameter, radius
 
 SMALL_MODULI = [6, 10, 15, 30, 42, 70, 105]
 
@@ -128,6 +130,24 @@ def test_domination_exhaustive(pair):
     for total in (False, True):
         size, _ = exhaustive_domination(eg, total=total)
         assert domination(G, total=total).size == size
+
+
+@pytest.mark.parametrize("n", [6, 30, 105])
+@pytest.mark.parametrize(
+    "kind, oracle", [("gamma", gamma_from_multiplication), ("ag", ag_from_ideal_products)]
+)
+def test_explicit_export_edges_match_ring_arithmetic(capsys, n, kind, oracle):
+    assert main(["export", "--zn", str(n), "--graph", kind, "--format", "json", "--explicit"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    render = [Vertex(node["mask"], node["copy"]).render() for node in doc["nodes"]]
+    exported = {frozenset((render[i], render[j])) for i, j in doc["edges"]}
+    eg = oracle(build_ring(SquarefreeModulus(n)))
+    literal = {
+        frozenset((eg.labels[i].render(), eg.labels[j].render())) for i in range(eg.n) for j in eg.adj[i]
+    }
+    assert sorted(render) == sorted(v.render() for v in eg.labels)
+    assert len(exported) == len(doc["edges"])
+    assert exported == literal
 
 
 @pytest.mark.parametrize("qs", [(2, 2), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2)])

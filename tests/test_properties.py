@@ -29,7 +29,7 @@ from zdgraph import (
     sz_closure,
     vertex_element,
 )
-from zdgraph.explicit import (
+from oracles import (
     bfs_distance,
     bfs_eccentricity,
     cycle_through_pair_flow,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engines
+from oracles import TableOracle
 from zdgraph import (
     DecompositionMismatch,
     FactorNotPrimeField,
@@ -16,7 +17,6 @@ from zdgraph import (
     NotReduced,
     NotUnital,
     RingConstructionError,
-    TableOracle,
     build_ring,
     load_table_file,
     table_from_json,
@@ -256,8 +256,8 @@ def test_json_rejects_booleans(doc, message):
     assert str(exc.value) == message
 
 
-# the first bad entry in row-major order is named; a flat list holding a
-# non-integer is read as a list of rows and fails the row count
+# the first bad entry in row-major order is named, whether the matrix is
+# nested or flat; a matrix is flat when none of its entries is a list
 @pytest.mark.parametrize(
     "changes, flat, message",
     [
@@ -265,8 +265,8 @@ def test_json_rejects_booleans(doc, message):
         ([(1, 0, "2"), (2, 2, 7)], False, "add entry '2' is not an index below 3"),
         ([(1, 2, -1), (2, 0, 2.0)], False, "add entry -1 is not an index below 3"),
         ([(2, 1, 3)], False, "add entry 3 is not an index below 3"),
-        ([(0, 2, 1.5)], True, "add must have 3 rows"),
-        ([(2, 1, "2")], True, "add must have 3 rows"),
+        ([(0, 2, 1.5)], True, "add entry 1.5 is not an index below 3"),
+        ([(2, 1, "2")], True, "add entry '2' is not an index below 3"),
         ([(1, 0, -1), (2, 1, 5)], True, "add entry -1 is not an index below 3"),
         ([(2, 2, 3)], True, "add entry 3 is not an index below 3"),
     ],
