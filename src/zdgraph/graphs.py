@@ -14,17 +14,21 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import Disconnected, EmptyGraph, InternalInconsistency
 from .rings import (
     Element,
     Ideal,
     Ring,
+    _closed_down,
+    _lattice,
+    _lowest,
     annihilating_ideals,
     iter_bits,
     render_support,
     submasks,
+    subset_products,
 )
 from .spectrum import sz_closure
 
@@ -63,7 +67,8 @@ class GraphView:
         full = ring.full_mask
         self.classes: tuple[int, ...] = tuple(range(1, full))
         if kind == GAMMA:
-            self.weights: tuple[int, ...] = tuple(ring.class_size(m) for m in self.classes)
+            # the class of mask m has prod(q_i - 1) elements over the bits i of m
+            self.weights: tuple[int, ...] = tuple(subset_products([q - 1 for q in ring.qs])[1:-1])
         else:
             self.weights = (1,) * len(self.classes)
 
@@ -80,7 +85,11 @@ class GraphView:
         return sum(self.weights)
 
     def edge_count(self) -> int:
-        return sum(w * self.degree_of_mask(m) for m, w in zip(self.classes, self.weights)) // 2
+        # reach[s] counts the elements (ideals) supported inside s, zero
+        # included, and class m reaches inside full - m, so its degree is
+        # reach[full - m] - 1; the classes are m = 1 .. full - 1 in order
+        reach = subset_products(self.ring.qs if self.kind == GAMMA else (2,) * self.ring.k)
+        return (sum(map(operator.mul, self.weights, reach[-2:0:-1])) - self.vertex_count()) // 2
 
     def degree_of_mask(self, mask: int) -> int:
         """Number of neighbors: everything supported inside the complement."""
@@ -153,32 +162,6 @@ def vertex_label(G: GraphView, v: Vertex) -> str:
 # distance, eccentricity, radius
 
 
-@functools.cache
-def _lattice(k: int) -> tuple[str, tuple[int, ...], int]:
-    """Constants of the bitset BFS over the subsets of k coordinates.
-
-    A set of masks is one int whose bit m stands for mask m.  Returns the
-    format string that writes such a set as 2^k binary digits, the sets
-    HAS_i of masks with bit i set, and the set of proper nonempty masks.
-    """
-    size = 1 << k
-    has = []
-    for i in range(k):
-        step = 1 << i
-        x = ((1 << step) - 1) << step  # masks step .. 2 * step - 1
-        width = 2 * step
-        while width < size:
-            x |= x << width
-            width *= 2
-        has.append(x)
-    classes = (1 << (size - 1)) - 2  # bits 1 .. full - 1
-    return f"0{size}b", tuple(has), classes
-
-
-def _lowest(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
-
-
 def _neighbors(lat: tuple[str, tuple[int, ...], int], bits: int) -> int:
     """The classes disjoint from at least one class in the set `bits`.
 
@@ -187,10 +170,7 @@ def _neighbors(lat: tuple[str, tuple[int, ...], int], bits: int) -> int:
     shift-and-OR per coordinate.
     """
     fmt, has, classes = lat
-    x = int(format(bits, fmt)[::-1], 2)
-    for i, h in enumerate(has):
-        x |= (x & h) >> (1 << i)
-    return x & classes
+    return _closed_down(has, int(format(bits, fmt)[::-1], 2)) & classes
 
 
 def class_distances(G: GraphView, src: int) -> list[int]:
@@ -232,14 +212,19 @@ def distance(G: GraphView, u: Vertex, v: Vertex) -> int:
     raise Disconnected((u.render(), v.render()))
 
 
-def class_eccentricity(G: GraphView, mask: int) -> int:
-    """Eccentricity shared by every copy in the class."""
-    weight = G.weight(mask)
+def _class_depth(G: GraphView, mask: int) -> int:
+    """The last BFS level from the class: its eccentricity among other classes."""
     levels = class_distances(G, mask)
     unreached = _lattice(G.ring.k)[2] & ~functools.reduce(operator.or_, levels)
     if unreached:
         raise Disconnected((Vertex(mask).render(), Vertex(_lowest(unreached)).render()))
-    best = len(levels) - 1
+    return len(levels) - 1
+
+
+def class_eccentricity(G: GraphView, mask: int) -> int:
+    """Eccentricity shared by every copy in the class."""
+    weight = G.weight(mask)
+    best = _class_depth(G, mask)
     if weight >= 2:
         if G.degree_of_mask(mask) == 0:
             raise Disconnected((Vertex(mask, 0).render(), Vertex(mask, 1).render()))
@@ -252,12 +237,26 @@ def eccentricity(G: GraphView, u: Vertex) -> int:
     return class_eccentricity(G, u.mask)
 
 
+def _eccentricities(G: GraphView) -> set[int]:
+    """The eccentricities the classes take, from one BFS per class size.
+
+    Permuting coordinates keeps masks disjoint, so a class's BFS depth
+    depends only on its size, and the classes of size r share the depth of
+    (1 << r) - 1.  Copies of a class are two apart (its complement is a
+    neighbor), so a class of weight 2 or more is at least 2 from itself.
+    One pass over the classes collects the (size, weight >= 2) pairs.
+    """
+    depth = [0] + [_class_depth(G, (1 << r) - 1) for r in range(1, G.ring.k)]
+    kinds = set(zip(map(int.bit_count, G.classes), map((2).__le__, G.weights)))
+    return {max(depth[r], 2) if copies else depth[r] for r, copies in kinds}
+
+
 def radius(G: GraphView) -> int:
-    return min(class_eccentricity(G, m) for m in G.classes)
+    return min(_eccentricities(G))
 
 
 def diameter(G: GraphView) -> int:
-    return max(class_eccentricity(G, m) for m in G.classes)
+    return max(_eccentricities(G))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +453,6 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
     choice can cover together, and the first incumbent is one copy per
     single-coordinate class.
     """
-    cs = G.classes
     ws = G.weights
     full = G.full_mask
     k = G.ring.k
@@ -473,11 +471,15 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
     def conflict(ma: int, mb: int) -> bool:
         return (ma | mb) == full and (total or (ma & mb) != 0)
 
-    def lower_bound(uncovered: Iterable[int]) -> int:
+    def lower_bound(uncovered: int) -> int:
+        # Conflicting classes have disjoint complements, so a pack holds at
+        # most k classes, and a pack of k holds every full ^ (1 << i).
         pack: list[int] = []
-        for m in sorted(uncovered, key=lambda x: (-x.bit_count(), x)):
+        for m in _largest_first(k, uncovered):
             if all(conflict(m, p) for p in pack):
                 pack.append(m)
+                if len(pack) == k:
+                    break
         return len(pack)
 
     # incumbent (cost, one, every): one copy of every single-coordinate class
@@ -492,7 +494,7 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
         covered = _neighbors(lat, one | every)
         if not total:
             covered |= every | (one & weight_one)
-        uncovered = list(iter_bits(lat[2] & ~covered))
+        uncovered = lat[2] & ~covered
         if not uncovered:
             if cost < best[0]:
                 best = (cost, one, every)
@@ -500,7 +502,7 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
         if cost + lower_bound(uncovered) >= best[0]:
             return
         # branch on the class with the fewest ways to cover it
-        target = min(uncovered, key=lambda m: ((full & ~m).bit_count(), m))
+        target = min(iter_bits(uncovered), key=lambda m: ((full & ~m).bit_count(), m))
         comp = full & ~target
         opts = [(1 << b, ONE) for b in iter_bits(comp)]
         if not total:
@@ -517,7 +519,7 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
             else:
                 search(one & ~(1 << m), every | 1 << m, cost + extra)
 
-    root_lb = lower_bound(cs)
+    root_lb = lower_bound(lat[2])
     if root_lb < best[0]:
         search(0, 0, 0)
 
@@ -537,20 +539,41 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
     )
 
 
+def _largest_first(k: int, bits: int) -> Iterator[int]:
+    """The classes in the set `bits`, largest first and ascending within a size.
+
+    Gosper's hack steps from a mask to the next larger one with as many bits.
+    """
+    full = (1 << k) - 1
+    for size in range(k - 1, 0, -1):
+        m = (1 << size) - 1
+        while m < full:
+            if bits >> m & 1:
+                yield m
+            low = m & -m
+            r = m + low
+            m = r | ((r ^ m) >> 2) // low
+
+
 def _validate_domination(G: GraphView, witness: list[Vertex], total: bool) -> None:
-    chosen_masks = {v.mask for v in witness}
+    """Raise unless the witness dominates every class.
+
+    The classes next to a chosen mask t are the submasks of full ^ t, so
+    one downward closure of those complements finds them all.  It does not
+    go through `_neighbors`, which the search itself uses.
+    """
+    _, has, classes = _lattice(G.ring.k)
+    full = G.full_mask
     counts: dict[int, int] = {}
     for v in witness:
         counts[v.mask] = counts.get(v.mask, 0) + 1
-    for i, m in enumerate(G.classes):
-        dominated_by_neighbor = any(m & t == 0 for t in chosen_masks)
-        if total:
-            if not dominated_by_neighbor:
-                raise InternalInconsistency(f"class {render_support(m)} not totally dominated")
-        else:
-            fully_in = counts.get(m, 0) == G.weights[i]
-            if not (dominated_by_neighbor or fully_in):
-                raise InternalInconsistency(f"class {render_support(m)} not dominated")
+    covered = _closed_down(has, sum(1 << (full ^ t) for t in counts))
+    if not total:
+        covered |= sum(1 << m for m, c in counts.items() if c == G.weights[m - 1])
+    missed = classes & ~covered
+    if missed:
+        flavor = "totally dominated" if total else "dominated"
+        raise InternalInconsistency(f"class {render_support(_lowest(missed))} not {flavor}")
 
 
 # ---------------------------------------------------------------------------

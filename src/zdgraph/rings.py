@@ -9,12 +9,13 @@ supports, stored as bitmask ints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     InputFormatError,
@@ -75,6 +76,59 @@ def submasks(mask: int) -> Iterator[int]:
     sub = 0
     while sub := (sub - mask) & mask:
         yield sub
+
+
+def subset_products(factors: Sequence[int]) -> list[int]:
+    """The product of factors[i] over the set bits i of m, for every mask m.
+
+    The masks with highest bit i are the masks below 1 << i with bit i
+    added, so each factor doubles the table.
+    """
+    table = [1]
+    for f in factors:
+        table += [p * f for p in table]
+    return table
+
+
+# A set of masks is one int whose bit m stands for mask m, so one big-int
+# operation acts on every subset of the k coordinates at once.
+
+
+@functools.cache
+def _lattice(k: int) -> tuple[str, tuple[int, ...], int]:
+    """Constants for sets of masks over k coordinates.
+
+    Returns the format string that writes such a set as 2^k binary digits,
+    the sets HAS_i of masks with bit i set, and the set of proper nonempty
+    masks.
+    """
+    size = 1 << k
+    has = []
+    for i in range(k):
+        step = 1 << i
+        x = ((1 << step) - 1) << step  # masks step .. 2 * step - 1
+        width = 2 * step
+        while width < size:
+            x |= x << width
+            width *= 2
+        has.append(x)
+    classes = (1 << (size - 1)) - 2  # bits 1 .. full - 1
+    return f"0{size}b", tuple(has), classes
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _closed_down(has: tuple[int, ...], bits: int) -> int:
+    """The set `bits` with every submask of its members added.
+
+    One shift-and-OR per coordinate: a mask with bit i passes itself on to
+    the mask without it.
+    """
+    for i, h in enumerate(has):
+        bits |= (bits & h) >> (1 << i)
+    return bits
 
 
 def render_support(mask: int) -> str:
@@ -307,10 +361,6 @@ class Ring:
         """All elements whose support is exactly the given mask, in lex order."""
         ranges = (range(1, q) if support_mask >> i & 1 else (0,) for i, q in enumerate(self.qs))
         yield from map(self.element, itertools.product(*ranges))
-
-    def class_size(self, support_mask: int) -> int:
-        """Number of elements with the given exact support."""
-        return math.prod(self.qs[i] - 1 for i in iter_bits(support_mask))
 
 
 # ---------------------------------------------------------------------------

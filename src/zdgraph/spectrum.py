@@ -18,6 +18,8 @@ from .rings import (
     Element,
     Ideal,
     Ring,
+    _closed_down,
+    _lattice,
     annihilating_ideals,
     annihilator_element,
     indices_of,
@@ -209,14 +211,26 @@ def is_prime_ideal(ring: Ring, ideal: Ideal) -> bool:
 
 
 def maximal_annihilating(ring: Ring) -> list[Ideal]:
-    """Maximal members of the annihilating-ideal family, by inclusion."""
+    """Maximal members of the annihilating-ideal family, by inclusion.
+
+    The family is one set of masks.  Closing it downward marks every mask
+    inside some member; a mask lies strictly inside a member when adding
+    one missing bit leads to such a mark.  The maximal members are the
+    members without that mark.
+    """
     members = annihilating_ideals(ring)
     if not members:
         raise NoAnnihilatingIdeals(f"ring with factors {ring.qs} has no annihilating ideals")
-    # I lies strictly inside J when its mask is a proper submask of J's
-    return [
-        I for I in members if not any(I.mask != J.mask and I.mask & ~J.mask == 0 for J in members)
-    ]
+    fmt, has, _ = _lattice(ring.k)
+    family = bytearray(b"0" * (1 << ring.k))  # digit m stands for mask m
+    for I in members:
+        family[I.mask] = ord("1")
+    inside = _closed_down(has, int(family[::-1], 2))
+    strictly_inside = 0
+    for i, h in enumerate(has):
+        strictly_inside |= (inside & h) >> (1 << i)
+    digits = format(strictly_inside, fmt)[::-1]
+    return [I for I in members if digits[I.mask] == "0"]
 
 
 def prime_annihilating(ring: Ring) -> list[Ideal]:

@@ -12,9 +12,15 @@ odometer and recursive element walks the package used before it walked
 `itertools.product`, copied verbatim; the two `Ring` methods take the ring
 as a plain `self` argument.
 
-`decompose_table_ring` at the end is the table decomposer the package used
-before its checks compared whole rows: every check scans entry by entry.
-It is copied verbatim.
+`decompose_table_ring` is the table decomposer the package used before
+its checks compared whole rows: every check scans entry by entry.  It is
+copied verbatim.
+
+`maximal_annihilating`, `radius` and `diameter` at the end are the
+package's scans before maximality became a transform on the subset
+lattice and before radius and diameter ran one BFS per class size: a
+pairwise inclusion scan over the annihilating ideals, and the min and max
+of `class_eccentricity` over every class.  They are copied verbatim.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import random
 from zdgraph.errors import (
     DecompositionMismatch,
     FactorNotField,
+    NoAnnihilatingIdeals,
     FactorNotPrimeField,
     IsolatedVertex,
     NotAdditiveGroup,
@@ -40,8 +47,18 @@ from zdgraph.graphs import (
     GraphView,
     Vertex,
     _validate_domination,
+    class_eccentricity,
 )
-from zdgraph.rings import ELEMENT_CAP, Element, Ideal, Ring, TableRing, _is_prime, iter_bits
+from zdgraph.rings import (
+    ELEMENT_CAP,
+    Element,
+    Ideal,
+    Ring,
+    TableRing,
+    _is_prime,
+    annihilating_ideals,
+    iter_bits,
+)
 from zdgraph.tables import _find_zero
 
 
@@ -383,3 +400,22 @@ def decompose_table_ring(t: TableRing) -> Ring:
                 raise DecompositionMismatch((x, y, "mul"))
 
     return Ring(qs=qs, table_iso=tuple(iso))
+
+
+def maximal_annihilating(ring: Ring) -> list[Ideal]:
+    """Maximal members of the annihilating-ideal family, by inclusion."""
+    members = annihilating_ideals(ring)
+    if not members:
+        raise NoAnnihilatingIdeals(f"ring with factors {ring.qs} has no annihilating ideals")
+    # I lies strictly inside J when its mask is a proper submask of J's
+    return [
+        I for I in members if not any(I.mask != J.mask and I.mask & ~J.mask == 0 for J in members)
+    ]
+
+
+def radius(G: GraphView) -> int:
+    return min(class_eccentricity(G, m) for m in G.classes)
+
+
+def diameter(G: GraphView) -> int:
+    return max(class_eccentricity(G, m) for m in G.classes)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -41,6 +42,31 @@ class TestInspect:
         doc = json.loads(out)
         assert doc["gamma"] is None and doc["ag"] is None
         assert doc["maximal_annihilating"] == []
+
+    def test_fourteen_factors_match_closed_forms(self, capsys):
+        # one BFS per class size and a lattice transform for maximality keep
+        # this fast; a per-class BFS or a pairwise scan takes tens of seconds
+        qs = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+        k = len(qs)
+        code, out, _ = run(capsys, "inspect", "--fields", ",".join(map(str, qs)), "--json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        prod = math.prod
+        assert doc["gamma"] == {
+            "vertices": prod(qs) - prod(q - 1 for q in qs) - 1,
+            "edges": (prod(2 * q - 1 for q in qs) - 2 * prod(qs) + 1) // 2,
+            "classes": 2**k - 2,
+            "radius": 2,
+        }
+        assert doc["ag"] == {
+            "vertices": 2**k - 2,
+            "edges": (3**k - 2 ** (k + 1) + 1) // 2,
+            "classes": 2**k - 2,
+            "radius": 2,
+        }
+        # the maximal annihilating ideals are the k minimal primes
+        assert len(doc["maximal_annihilating"]) == k
+        assert all(len(ideal.split(",")) == k - 1 for ideal in doc["maximal_annihilating"])
 
     def test_non_squarefree_rejected(self, capsys):
         code, _, err = run(capsys, "inspect", "--zn", "12")

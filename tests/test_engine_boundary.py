@@ -4,6 +4,9 @@ The brute-force oracles live in `tests/oracles.py`.  A prediction checked
 against an oracle the engine could import, or redefine, would no longer be
 an independent check, so this reads every module under `src/zdgraph` and
 rejects both.
+
+It also rejects import cycles among the package's modules, counting the
+imports inside functions, which Python resolves only when they run.
 """
 
 import ast
@@ -27,6 +30,12 @@ ORACLE_NAMES = frozenset(
     }
 )
 ORACLE_PREFIXES = ("bfs_", "scan_", "cycle_through_pair_")
+
+# The one import allowed to close a cycle.  `rings.build_ring` is the single
+# place the factor cap is checked for every kind of ring spec, tables
+# included, and table decomposition builds a `Ring`; so `build_ring` imports
+# `tables` inside the function, after both modules have loaded.
+CYCLE_EXCEPTIONS = frozenset({("rings", "tables")})
 
 
 def _is_oracle_name(name: str) -> bool:
@@ -79,3 +88,69 @@ def test_imports_are_standard_library_or_zdgraph(path):
 def test_no_oracle_is_defined_or_imported(path):
     names = _bound_names(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted({name for name in names if _is_oracle_name(name)}) == []
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a file imports, at module level or inside functions."""
+    names = {path.stem for path in MODULES}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level:
+                if parts[0] != "zdgraph":
+                    continue
+                parts = parts[1:] or [""]
+            # `from . import x` and `from zdgraph import x` may name modules
+            out |= {parts[0]} if parts[0] else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("zdgraph.")}
+    return out & names
+
+
+def _find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of the directed graph as a closed walk of its nodes, or None."""
+    done: set[str] = set()
+    path: list[str] = []
+
+    def visit(node: str) -> list[str] | None:
+        if node in path:
+            return path[path.index(node) :] + [node]
+        if node in done:
+            return None
+        path.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            if cycle := visit(nxt):
+                return cycle
+        path.pop()
+        done.add(node)
+        return None
+
+    for start in sorted(graph):
+        if cycle := visit(start):
+            return cycle
+    return None
+
+
+def _import_graph() -> dict[str, set[str]]:
+    return {path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8"))) for path in MODULES}
+
+
+def test_function_local_imports_count():
+    source = "def f():\n    from .tables import x\n    from . import spectrum\n    import zdgraph.graphs\n"
+    assert _package_imports(ast.parse(source)) == {"tables", "spectrum", "graphs"}
+    source = "from zdgraph import cli\nfrom zdgraph.verify import x\nimport json\n"
+    assert _package_imports(ast.parse(source)) == {"cli", "verify"}
+
+
+def test_cycle_finder():
+    assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
+    assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+
+
+def test_no_import_cycle_among_package_modules():
+    graph = _import_graph()
+    for a, b in CYCLE_EXCEPTIONS:
+        assert b in graph[a], f"{a} no longer imports {b}; drop the exception"
+        graph[a].discard(b)
+    assert _find_cycle(graph) is None

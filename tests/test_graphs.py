@@ -33,6 +33,7 @@ from zdgraph import (
     vertex_element,
     vertex_label,
 )
+from zdgraph import graphs
 from zdgraph.graphs import class_distances
 from zdgraph.rings import Ideal
 
@@ -182,6 +183,22 @@ class TestBitsetBFS:
                     assert distance(G, Vertex(a), Vertex(b)) == dist[b]
                     if a == b and G.weight(a) >= 2:
                         assert distance(G, Vertex(a, 0), Vertex(a, 1)) == 2
+
+    @pytest.mark.parametrize("k", [6, 7, 8, 9])
+    def test_radius_and_diameter_run_one_bfs_per_class_size(self, k, monkeypatch):
+        calls = []
+
+        def counting(G, src):
+            calls.append(src)
+            return class_distances(G, src)
+
+        monkeypatch.setattr(graphs, "class_distances", counting)
+        ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17, 19, 23)[:k]))
+        for G in (build_gamma(ring), build_ag(ring)):
+            for metric in (radius, diameter):
+                calls.clear()
+                metric(G)
+                assert len(calls) == k - 1, (G.kind, metric.__name__)
 
     def test_metrics_build_no_adjacency(self):
         ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17, 19)))

@@ -25,6 +25,8 @@ from zdgraph import (
     domination,
     eccentricity,
     girth_through,
+    is_triangle_vertex,
+    orthogonal,
     radius,
     sz_closure,
     vertex_element,
@@ -35,6 +37,8 @@ from oracles import (
     cycle_through_pair_flow,
     exhaustive_domination,
     materialize,
+    scan_orthogonal,
+    scan_triangle_vertex,
 )
 from zdgraph.rings import (
     annihilator_element,
@@ -229,6 +233,54 @@ def test_bfs_metrics_match_explicit_oracle(ps, kind, data):
     i = data.draw(st.integers(0, eg.n - 1))
     j = data.draw(st.integers(0, eg.n - 1))
     assert distance(G, eg.labels[i], eg.labels[j]) == bfs_distance(eg, i, j)
+
+
+# Up to five factors: the ideal graph has at most 30 vertices, and a
+# zero-divisor graph is drawn only when it has at most 1200.
+@given(
+    ps=st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=5),
+    kind=st.sampled_from([GAMMA, AG]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_triangle_vertices_match_explicit_oracle(ps, kind, data):
+    ring = build_ring(PrimeFactors(tuple(ps)))
+    G = build_gamma(ring) if kind == GAMMA else build_ag(ring)
+    assume(G.vertex_count() <= 1200)
+    eg = materialize(G)
+    index = {v: i for i, v in enumerate(eg.labels)}
+    for _ in range(4):
+        i = data.draw(st.integers(0, eg.n - 1))
+        found, partners = is_triangle_vertex(G, eg.labels[i])
+        assert found == scan_triangle_vertex(eg, i)
+        if found:
+            a, b = (index[w] for w in partners)
+            assert a in eg.adj[i] and b in eg.adj[i] and b in eg.adj[a]
+        else:
+            assert partners is None
+
+
+@given(
+    ps=st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=5),
+    kind=st.sampled_from([GAMMA, AG]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_orthogonality_matches_explicit_oracle(ps, kind, data):
+    ring = build_ring(PrimeFactors(tuple(ps)))
+    G = build_gamma(ring) if kind == GAMMA else build_ag(ring)
+    assume(G.vertex_count() <= 1200)
+    eg = materialize(G)
+    full = G.full_mask
+    for _ in range(4):
+        i = data.draw(st.integers(0, eg.n - 1))
+        # orthogonal pairs have complementary masks, so draw those often
+        complements = [j for j, w in enumerate(eg.labels) if w.mask == full ^ eg.labels[i].mask]
+        if data.draw(st.booleans()):
+            j = data.draw(st.sampled_from(complements))
+        else:
+            j = data.draw(st.integers(0, eg.n - 1))
+        assert orthogonal(G, eg.labels[i], eg.labels[j]) == scan_orthogonal(eg, i, j)
 
 
 @given(

@@ -10,16 +10,37 @@ sampling must return equal lists at k <= 8.
 The element walks must return equal lists, coordinates and residue labels
 included, for every mask of three small rings and for every ideal of
 Z/510510 with at most 20,000 elements.
+
+Radius and diameter from one BFS per class size must equal the min and
+max of the per-class eccentricities, and maximality by the lattice
+transform must equal the pairwise inclusion scan, at k <= 8.
 """
 
 import math
+import random
 from itertools import combinations_with_replacement
 
 import pytest
 
 import reference_engines
-from zdgraph import AG, GAMMA, PrimeFactors, SquarefreeModulus, build_ag, build_gamma, build_ring, domination
+from zdgraph import (
+    AG,
+    GAMMA,
+    NoAnnihilatingIdeals,
+    PrimeFactors,
+    SquarefreeModulus,
+    build_ag,
+    build_gamma,
+    build_ring,
+    class_eccentricity,
+    diameter,
+    domination,
+    radius,
+)
+from zdgraph import spectrum
+from zdgraph.graphs import _eccentricities
 from zdgraph.rings import Ideal, elements_of_ideal
+from zdgraph.spectrum import maximal_annihilating
 from zdgraph.verify import _sample_pairs
 
 MULTISETS = [qs for k in range(2, 6) for qs in combinations_with_replacement((2, 3, 5, 7), k)]
@@ -98,3 +119,56 @@ def test_element_walks_match_on_small_ideals_of_z510510():
     assert len(small) == 114
     for mask in small:
         _assert_walks_match(ring, mask)
+
+
+# Repeated primes, and a factor 2 first or last: the weight-one singleton
+# class of F2 x F3 is mask 0b01, that of F3 x F2 is mask 0b10.
+ORBIT_RINGS = (
+    (2, 3),
+    (3, 2),
+    (2, 2),
+    (3, 3),
+    (2, 2, 3),
+    (3, 2, 2),
+    (2, 2, 3, 3, 5),
+    (5, 3, 3, 2, 2),
+    (2, 3, 5, 7),
+    (2, 2, 2, 2, 2, 2),
+    (3, 5, 7, 11, 13, 2, 2),
+    (2, 3, 5, 7, 11, 13, 17, 19),
+    (2, 2, 3, 3, 5, 5, 7, 7),
+)
+
+
+@pytest.mark.parametrize("qs", ORBIT_RINGS, ids=["x".join(map(str, qs)) for qs in ORBIT_RINGS])
+def test_orbit_metrics_match_per_class_scan(qs):
+    ring = build_ring(PrimeFactors(qs))
+    for G in (build_gamma(ring), build_ag(ring)):
+        assert radius(G) == reference_engines.radius(G), G.kind
+        assert diameter(G) == reference_engines.diameter(G), G.kind
+        assert _eccentricities(G) == {class_eccentricity(G, m) for m in G.classes}, G.kind
+    assert maximal_annihilating(ring) == reference_engines.maximal_annihilating(ring)
+
+
+def test_weight_one_singleton_in_either_order():
+    # the singleton of the factor 2 is one element, adjacent to every other vertex
+    for qs in ((2, 3), (3, 2)):
+        G = build_gamma(build_ring(PrimeFactors(qs)))
+        assert (radius(G), diameter(G)) == (1, 2)
+
+
+def test_maximality_of_any_family_matches_inclusion_scan(monkeypatch):
+    # the ring's own family is always every proper mask; arbitrary families
+    # also exercise members that lie inside others by more than one bit
+    rng = random.Random(0)
+    ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17)))
+    for _ in range(100):
+        density = rng.choice((0.02, 0.3, 0.7))
+        family = [Ideal(m) for m in range(1 << ring.k) if rng.random() < density]
+        for module in (spectrum, reference_engines):
+            monkeypatch.setattr(module, "annihilating_ideals", lambda ring, family=family: family)
+        if family:
+            assert maximal_annihilating(ring) == reference_engines.maximal_annihilating(ring)
+        else:
+            with pytest.raises(NoAnnihilatingIdeals):
+                maximal_annihilating(ring)
