@@ -36,7 +36,6 @@ from .graphs import (
     DominationResult,
     GirthResult,
     GraphView,
-    RetractReport,
     Vertex,
     ag_vertex,
     build_ag,
@@ -55,7 +54,6 @@ from .graphs import (
     is_triangulated,
     orthogonal,
     radius,
-    retract_check,
     vertex_element,
     vertex_label,
 )
@@ -83,6 +81,7 @@ from .spectrum import (
     BourbakiSet,
     MinPrime,
     PlaceStatus,
+    RetractReport,
     TopSet,
     bourbaki_primes,
     closure,
@@ -95,6 +94,7 @@ from .spectrum import (
     maximal_annihilating,
     min_primes,
     prime_annihilating,
+    retract_check,
     sz_closure,
     zero_set,
 )

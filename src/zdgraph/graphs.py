@@ -24,13 +24,11 @@ from .rings import (
     _closed_down,
     _lattice,
     _lowest,
-    annihilating_ideals,
     iter_bits,
     render_support,
     submasks,
     subset_products,
 )
-from .spectrum import sz_closure
 
 GAMMA = "gamma"
 AG = "ag"
@@ -202,9 +200,7 @@ def distance(G: GraphView, u: Vertex, v: Vertex) -> int:
     if u.mask & v.mask == 0:
         return 1
     if u.mask == v.mask:
-        # distinct copies are never adjacent; go out to any neighbor and back
-        if G.degree_of_mask(u.mask) == 0:
-            raise Disconnected((u.render(), v.render()))
+        # distinct copies are never adjacent; go out to the complement and back
         return 2
     for d, level in enumerate(class_distances(G, u.mask)):
         if level >> v.mask & 1:
@@ -224,12 +220,9 @@ def _class_depth(G: GraphView, mask: int) -> int:
 def class_eccentricity(G: GraphView, mask: int) -> int:
     """Eccentricity shared by every copy in the class."""
     weight = G.weight(mask)
-    best = _class_depth(G, mask)
-    if weight >= 2:
-        if G.degree_of_mask(mask) == 0:
-            raise Disconnected((Vertex(mask, 0).render(), Vertex(mask, 1).render()))
-        best = max(best, 2)
-    return best
+    depth = _class_depth(G, mask)
+    # copies are two apart, through the complement class
+    return max(depth, 2) if weight >= 2 else depth
 
 
 def eccentricity(G: GraphView, u: Vertex) -> int:
@@ -574,52 +567,3 @@ def _validate_domination(G: GraphView, witness: list[Vertex], total: bool) -> No
     if missed:
         flavor = "totally dominated" if total else "dominated"
         raise InternalInconsistency(f"class {render_support(_lowest(missed))} not {flavor}")
-
-
-# ---------------------------------------------------------------------------
-# retract of the ideal graph onto its closed ideals
-
-
-@dataclass(frozen=True)
-class RetractReport:
-    is_identity: bool
-    preserves_adjacency: bool
-    image_is_fixed: bool
-    image_is_all: bool
-    failures: tuple[str, ...]
-
-    @property
-    def is_retraction(self) -> bool:
-        return self.preserves_adjacency and self.image_is_fixed
-
-
-def retract_check(ring: Ring) -> RetractReport:
-    """Check that I -> sz_closure(I) retracts the ideal graph onto itself."""
-    members = annihilating_ideals(ring)
-    failures: list[str] = []
-    closed = {I.mask: sz_closure(ring, I).mask for I in members}
-
-    is_identity = all(phi == m for m, phi in closed.items())
-    image_is_fixed = True
-    for I in members:
-        phi = closed[I.mask]
-        if sz_closure(ring, Ideal(phi)).mask != phi:
-            image_is_fixed = False
-            failures.append(f"closure of {I.render(ring)} is not fixed")
-    image_is_all = set(closed.values()) == set(closed)
-
-    preserves = True
-    for a in members:
-        for b in submasks(ring.full_mask & ~a.mask):
-            if a.mask < b:
-                pa, pb = closed[a.mask], closed[b]
-                if pa & pb != 0 or pa == pb:
-                    preserves = False
-                    failures.append(f"edge {a.render(ring)}-{Ideal(b).render(ring)} not preserved")
-    return RetractReport(
-        is_identity=is_identity,
-        preserves_adjacency=preserves,
-        image_is_fixed=image_is_fixed,
-        image_is_all=image_is_all,
-        failures=tuple(failures),
-    )

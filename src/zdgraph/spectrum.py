@@ -20,10 +20,13 @@ from .rings import (
     Ring,
     _closed_down,
     _lattice,
+    _lowest,
     annihilating_ideals,
     annihilator_element,
     indices_of,
+    iter_bits,
     render_support,
+    submasks,
 )
 
 
@@ -202,6 +205,75 @@ def sz_closure(ring: Ring, ideal: Ideal) -> Ideal:
 
 def is_sz_ideal(ring: Ring, ideal: Ideal) -> bool:
     return sz_closure(ring, ideal) == ideal
+
+
+@dataclass(frozen=True)
+class RetractReport:
+    """Whether I -> sz_closure(I) retracts the ideal graph onto its closed ideals.
+
+    `failures` names the closures that are not fixed, then the edges that
+    are not preserved.  `adjacency_mismatch` is the first pair of masks
+    (a, b), a < b, whose closures are disjoint when they are not, or the
+    other way round.
+    """
+
+    is_identity: bool
+    preserves_adjacency: bool
+    image_is_fixed: bool
+    failures: tuple[str, ...]
+    adjacency_mismatch: tuple[int, int] | None
+
+    @property
+    def is_retraction(self) -> bool:
+        return self.preserves_adjacency and self.image_is_fixed
+
+
+def retract_check(ring: Ring) -> RetractReport:
+    """Check that I -> sz_closure(I) retracts the ideal graph onto itself.
+
+    Each closure is computed once.  `pre[t]` is the set of members whose
+    closure is t, as a bitset.  For each member a, two sets of the members b
+    above a are compared: `direct`, the b disjoint from a, which are the
+    submasks of a's complement, and `closed`, the b whose closure is
+    disjoint from a's, which is pre[t] gathered over the submasks t of the
+    complement of a's closure, zero included.  An edge is preserved when
+    the closures are disjoint and distinct.  For the identity closure, both
+    walks cost O(3^k) over all members.
+    """
+    members = annihilating_ideals(ring)
+    full = ring.full_mask
+    phi = {I.mask: sz_closure(ring, I).mask for I in members}
+    pre = [0] * (full + 1)
+    for m, p in phi.items():
+        pre[p] |= 1 << m
+
+    failures = []
+    for I in members:
+        p = phi[I.mask]
+        if (phi[p] if p in phi else sz_closure(ring, Ideal(p)).mask) != p:
+            failures.append(f"closure of {I.render(ring)} is not fixed")
+    unfixed = len(failures)
+
+    mismatch = None
+    for I in members:
+        a, p = I.mask, phi[I.mask]
+        above = -(2 << a)  # the masks above a
+        direct = sum(1 << b for b in submasks(full & ~a)) & above
+        closed = pre[0]
+        for t in submasks(full & ~p):
+            closed |= pre[t]
+        closed &= above
+        if mismatch is None and direct != closed:
+            mismatch = (a, _lowest(direct ^ closed))
+        for b in iter_bits(direct & (~closed | pre[p])):
+            failures.append(f"edge {I.render(ring)}-{Ideal(b).render(ring)} not preserved")
+    return RetractReport(
+        is_identity=all(p == m for m, p in phi.items()),
+        preserves_adjacency=len(failures) == unfixed,
+        image_is_fixed=unfixed == 0,
+        failures=tuple(failures),
+        adjacency_mismatch=mismatch,
+    )
 
 
 def is_prime_ideal(ring: Ring, ideal: Ideal) -> bool:

@@ -36,7 +36,6 @@ from .graphs import (
     is_triangulated,
     orthogonal,
     radius,
-    retract_check,
     vertex_element,
 )
 from .rings import (
@@ -44,9 +43,7 @@ from .rings import (
     Ring,
     annihilating_ideals,
     elements_of_ideal,
-    env_int,
     ideal_contains,
-    ideal_product,
     iter_bits,
 )
 from .spectrum import (
@@ -57,7 +54,7 @@ from .spectrum import (
     is_singleton,
     maximal_annihilating,
     min_primes,
-    sz_closure,
+    retract_check,
     zero_set,
 )
 from .version import __version__
@@ -76,9 +73,6 @@ ALL_SUITES = (
     "spectrum",
     "retract",
 )
-
-ENV_DOMINATION_K_CAP = "ZDGRAPH_DOMINATION_K_CAP"
-DEFAULT_DOMINATION_K_CAP = 14
 
 PRODUCT_SCAN_LIMIT = 20_000  # element pairs; beyond this only generators are multiplied
 
@@ -471,12 +465,6 @@ def _suite_girth(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, 
 
 def _suite_domination(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, out: list) -> None:
     k = ring.k
-    if k > env_int(ENV_DOMINATION_K_CAP, DEFAULT_DOMINATION_K_CAP):
-        note = f"skipped: {k} factors exceeds the domination cap ({ENV_DOMINATION_K_CAP})"
-        for cid in _EMPTY_GRAPH_IDS["domination"]:
-            out.append(_na(cid, "", note))
-        return
-
     tg = domination(Gg, total=True)
     ta = domination(Ga, total=True)
     pg = domination(Gg, total=False)
@@ -566,26 +554,10 @@ def _render_mask(mask: int) -> str:
 def _suite_retract(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, out: list) -> None:
     rep = retract_check(ring)
     out.append(_rec("retract.sz-identity", True, rep.is_identity, "", rep.is_identity))
-    ok = rep.preserves_adjacency and rep.image_is_fixed
     witness = rep.failures[0] if rep.failures else ""
-    out.append(_rec("retract.homomorphism", True, ok, witness, ok))
-
-    members = annihilating_ideals(ring)
-    closures = {i.mask: sz_closure(ring, i) for i in members}
-    both = True
-    bad = ""
-    for a in members:
-        for b in members:
-            if a.mask >= b.mask:
-                continue
-            direct = ideal_product(ring, a, b).mask == 0
-            closed = ideal_product(ring, closures[a.mask], closures[b.mask]).mask == 0
-            if direct != closed:
-                both = False
-                bad = _wit(Vertex(a.mask, 0), Vertex(b.mask, 0))
-                break
-        if not both:
-            break
+    out.append(_rec("retract.homomorphism", True, rep.is_retraction, witness, rep.is_retraction))
+    both = rep.adjacency_mismatch is None
+    bad = "" if both else _wit(*(Vertex(m, 0) for m in rep.adjacency_mismatch))
     out.append(_rec("retract.adjacency-biconditional", True, both, bad, both))
 
 

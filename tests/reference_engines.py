@@ -21,6 +21,13 @@ package's scans before maximality became a transform on the subset
 lattice and before radius and diameter ran one BFS per class size: a
 pairwise inclusion scan over the annihilating ideals, and the min and max
 of `class_eccentricity` over every class.  They are copied verbatim.
+
+`RetractReport`, `retract_check` and `_suite_retract` are the retract
+check from before it was one pass in `spectrum`: a submask walk for the
+closures and edges, then the suite's own pairwise loop over the
+annihilating ideals for the adjacency biconditional, which multiplies
+each pair and each pair of closures with `ideal_product`.  They are copied
+verbatim.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from dataclasses import dataclass
 
 from zdgraph.errors import (
     DecompositionMismatch,
@@ -57,9 +65,13 @@ from zdgraph.rings import (
     TableRing,
     _is_prime,
     annihilating_ideals,
+    ideal_product,
     iter_bits,
+    submasks,
 )
+from zdgraph.spectrum import sz_closure
 from zdgraph.tables import _find_zero
+from zdgraph.verify import _rec, _wit
 
 
 @functools.cache
@@ -419,3 +431,74 @@ def radius(G: GraphView) -> int:
 
 def diameter(G: GraphView) -> int:
     return max(class_eccentricity(G, m) for m in G.classes)
+
+
+@dataclass(frozen=True)
+class RetractReport:
+    is_identity: bool
+    preserves_adjacency: bool
+    image_is_fixed: bool
+    image_is_all: bool
+    failures: tuple[str, ...]
+
+    @property
+    def is_retraction(self) -> bool:
+        return self.preserves_adjacency and self.image_is_fixed
+
+
+def retract_check(ring: Ring) -> RetractReport:
+    """Check that I -> sz_closure(I) retracts the ideal graph onto itself."""
+    members = annihilating_ideals(ring)
+    failures: list[str] = []
+    closed = {I.mask: sz_closure(ring, I).mask for I in members}
+
+    is_identity = all(phi == m for m, phi in closed.items())
+    image_is_fixed = True
+    for I in members:
+        phi = closed[I.mask]
+        if sz_closure(ring, Ideal(phi)).mask != phi:
+            image_is_fixed = False
+            failures.append(f"closure of {I.render(ring)} is not fixed")
+    image_is_all = set(closed.values()) == set(closed)
+
+    preserves = True
+    for a in members:
+        for b in submasks(ring.full_mask & ~a.mask):
+            if a.mask < b:
+                pa, pb = closed[a.mask], closed[b]
+                if pa & pb != 0 or pa == pb:
+                    preserves = False
+                    failures.append(f"edge {a.render(ring)}-{Ideal(b).render(ring)} not preserved")
+    return RetractReport(
+        is_identity=is_identity,
+        preserves_adjacency=preserves,
+        image_is_fixed=image_is_fixed,
+        image_is_all=image_is_all,
+        failures=tuple(failures),
+    )
+
+
+def _suite_retract(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, out: list) -> None:
+    rep = retract_check(ring)
+    out.append(_rec("retract.sz-identity", True, rep.is_identity, "", rep.is_identity))
+    ok = rep.preserves_adjacency and rep.image_is_fixed
+    witness = rep.failures[0] if rep.failures else ""
+    out.append(_rec("retract.homomorphism", True, ok, witness, ok))
+
+    members = annihilating_ideals(ring)
+    closures = {i.mask: sz_closure(ring, i) for i in members}
+    both = True
+    bad = ""
+    for a in members:
+        for b in members:
+            if a.mask >= b.mask:
+                continue
+            direct = ideal_product(ring, a, b).mask == 0
+            closed = ideal_product(ring, closures[a.mask], closures[b.mask]).mask == 0
+            if direct != closed:
+                both = False
+                bad = _wit(Vertex(a.mask, 0), Vertex(b.mask, 0))
+                break
+        if not both:
+            break
+    out.append(_rec("retract.adjacency-biconditional", True, both, bad, both))

@@ -315,7 +315,6 @@ class TestTopLevel:
         [
             ("ZDGRAPH_MAX_FACTORS", ["inspect", "--zn", "30"]),
             ("ZDGRAPH_EXPLICIT_CAP", ["export", "--zn", "30", "--graph", "gamma", "--explicit"]),
-            ("ZDGRAPH_DOMINATION_K_CAP", ["verify", "--zn", "30", "--suites", "domination"]),
         ],
     )
     def test_unparsable_environment_integer_is_input_error(self, capsys, monkeypatch, variable, argv):
@@ -330,7 +329,6 @@ class TestTopLevel:
         [
             ("ZDGRAPH_MAX_FACTORS", ["inspect", "--zn", "7"]),
             ("ZDGRAPH_EXPLICIT_CAP", ["export", "--zn", "6", "--graph", "gamma", "--explicit"]),
-            ("ZDGRAPH_DOMINATION_K_CAP", ["verify", "--zn", "30", "--suites", "domination"]),
         ],
     )
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -7,6 +7,13 @@ rejects both.
 
 It also rejects import cycles among the package's modules, counting the
 imports inside functions, which Python resolves only when they run.
+
+Last, it keeps the graph engine and the topology layer apart.  `graphs`
+supplies the oracles (class BFS, path searches, branch and bound) and
+`spectrum` the predictions (closures and kernels over Min(R)); a
+prediction that reused an oracle's code would no longer check it.  So
+neither module imports the other, inside a function or not, and the
+arithmetic they share comes from `rings`.
 """
 
 import ast
@@ -154,3 +161,10 @@ def test_no_import_cycle_among_package_modules():
         assert b in graph[a], f"{a} no longer imports {b}; drop the exception"
         graph[a].discard(b)
     assert _find_cycle(graph) is None
+
+
+def test_graphs_and_spectrum_share_only_rings():
+    graph = _import_graph()
+    assert "spectrum" not in graph["graphs"]
+    assert "graphs" not in graph["spectrum"]
+    assert "rings" in graph["graphs"] & graph["spectrum"]

@@ -357,6 +357,7 @@ class TestRetract:
             assert rep.image_is_fixed
             assert rep.is_retraction
             assert rep.failures == ()
+            assert rep.adjacency_mismatch is None
 
     def test_disconnected_error_type(self):
         assert issubclass(Disconnected, Exception)

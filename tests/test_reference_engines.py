@@ -14,6 +14,10 @@ Z/510510 with at most 20,000 elements.
 Radius and diameter from one BFS per class size must equal the min and
 max of the per-class eccentricities, and maximality by the lattice
 transform must equal the pairwise inclusion scan, at k <= 8.
+
+The one-pass retract check must give the submask walk's report and the
+pairwise loop's three `retract.*` records, verdicts and witnesses
+included, for the real closure and for faulty closures, at k <= 7.
 """
 
 import math
@@ -36,12 +40,13 @@ from zdgraph import (
     diameter,
     domination,
     radius,
+    retract_check,
 )
-from zdgraph import spectrum
+from zdgraph import spectrum, verify
 from zdgraph.graphs import _eccentricities
 from zdgraph.rings import Ideal, elements_of_ideal
 from zdgraph.spectrum import maximal_annihilating
-from zdgraph.verify import _sample_pairs
+from zdgraph.verify import Verdict, _sample_pairs
 
 MULTISETS = [qs for k in range(2, 6) for qs in combinations_with_replacement((2, 3, 5, 7), k)]
 
@@ -172,3 +177,41 @@ def test_maximality_of_any_family_matches_inclusion_scan(monkeypatch):
         else:
             with pytest.raises(NoAnnihilatingIdeals):
                 maximal_annihilating(ring)
+
+
+def _closure_faults(ring, rng):
+    """The real closure, then closures that break the retraction in different ways."""
+    full = ring.full_mask
+    real = spectrum.sz_closure
+    yield "real", real
+    for target in (0, full, *(rng.randrange(full + 1) for _ in range(4))):
+        src = rng.randrange(1, full)
+        yield f"{src}->{target}", lambda r, I, src=src, target=target: Ideal(target) if I.mask == src else real(r, I)
+    a, b = rng.sample(range(1, full), 2)
+    swap = {a: b, b: a}
+    yield f"{a}<->{b}", lambda r, I: Ideal(swap.get(I.mask, I.mask))
+    yield "complement", lambda r, I: Ideal(full & ~I.mask)
+    yield "zero", lambda r, I: Ideal(0)
+    # the top member goes to the whole ring, whose closure is then the zero ideal
+    yield "successor", lambda r, I: Ideal((I.mask + 1) % (full + 1))
+
+
+RETRACT_RINGS = [(2, 3, 5, 7, 11, 13, 17)[:k] for k in range(2, 8)] + [(2, 2, 3, 3, 5)]
+
+
+@pytest.mark.parametrize("qs", RETRACT_RINGS, ids=["x".join(map(str, qs)) for qs in RETRACT_RINGS])
+def test_retract_matches_submask_walk_and_pairwise_loop(qs, monkeypatch):
+    ring = build_ring(PrimeFactors(qs))
+    biconditional = set()
+    for name, closure in _closure_faults(ring, random.Random(len(qs))):
+        for module in (spectrum, reference_engines):
+            monkeypatch.setattr(module, "sz_closure", closure)
+        new, old = retract_check(ring), reference_engines.retract_check(ring)
+        fields = ("is_identity", "preserves_adjacency", "image_is_fixed", "failures")
+        assert [getattr(new, f) for f in fields] == [getattr(old, f) for f in fields], name
+        records, expected = [], []
+        verify._suite_retract(ring, None, None, 0, 1, records)
+        reference_engines._suite_retract(ring, None, None, 0, 1, expected)
+        assert [r.to_dict() for r in records] == [r.to_dict() for r in expected], name
+        biconditional.add(records[2].verdict)
+    assert biconditional == {Verdict.CONFIRMED, Verdict.VIOLATED}

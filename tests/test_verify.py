@@ -186,10 +186,12 @@ class TestNativeVsTable:
         assert native == tabled
 
 
-def test_domination_cap_respected(z30, monkeypatch):
-    monkeypatch.setenv("ZDGRAPH_DOMINATION_K_CAP", "2")
-    report = run_verification(z30, suites=("domination",), seed=0)
-    assert all(r.verdict is Verdict.NOT_APPLICABLE for r in report.records)
+def test_domination_runs_above_fourteen_factors():
+    # from three factors on the root bound meets the first incumbent, so
+    # no search runs and large rings are checked in full
+    ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)))
+    report = run_verification(ring, suites=("domination",), seed=0)
+    assert [r.verdict for r in report.records] == [Verdict.CONFIRMED] * 6
 
 
 def test_generator_scan_disagreement_is_a_record(monkeypatch, capsys):
