@@ -80,13 +80,15 @@ def _parse_registry(obj: object) -> Registry:
 
 def load_registry(path: str | Path | None = None) -> Registry:
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        source = Path(path)
     else:
-        text = resources.files("zdgraph.data").joinpath("registered_edge_cases.json").read_text(
-            encoding="utf-8"
-        )
+        source = resources.files("zdgraph.data").joinpath("registered_edge_cases.json")
     try:
-        obj = json.loads(text)
+        obj = json.loads(source.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"registry is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # text that is not UTF-8, an integer too long to convert, or nesting
+        # too deep for the decoder
+        raise InputFormatError(f"cannot read registry {source}: {exc}") from exc
     return _parse_registry(obj)

@@ -20,6 +20,7 @@ from .errors import (
     NotCommutative,
     NotReduced,
     NotUnital,
+    RingConstructionError,
 )
 from .rings import Ring, TableRing, _is_prime
 
@@ -135,11 +136,26 @@ def table_from_json(obj) -> TableRing:
     return TableRing(size=size, one=one, add=add, mul=mul)
 
 
+class _IntPool(dict):
+    """JSON integer text -> int, parsed once: equal entries share one object.
+
+    Its ``__getitem__`` is ``json.load``'s ``parse_int``.  A table of size n
+    has at most n distinct entries but n^2 of them, and every int above 256
+    would otherwise be a separate object; the lookup stays at C level.
+    """
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
 def load_table_file(path: str) -> TableRing:
+    # ValueError covers bad JSON, text that is not UTF-8 and an integer too
+    # long to convert; RecursionError covers nesting too deep for the decoder
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            obj = json.load(fh, parse_int=_IntPool().__getitem__)
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputFormatError(f"cannot read table file {path}: {exc}") from exc
     return table_from_json(obj)
 
@@ -164,10 +180,28 @@ def decompose_table_ring(t: TableRing) -> Ring:
     Raises the specific construction error when the tables fail to describe
     a reduced commutative unital ring that is a product of prime fields.
     """
+    zero = _find_zero(t)
+    # The commutativity and inverse scan runs only when the split fails.  A
+    # split that succeeds proves both: its round trip makes the injective
+    # iso a homomorphism into the product of fields, so x+y and y+x (and xy
+    # and yx) have one image and are one index.  The image is a finite
+    # subset of a finite group closed under addition, hence a subgroup: it
+    # holds -iso[x] = iso[y], and x+y maps to 0 = iso[zero] (row zero is
+    # the identity), so x+y is zero.  A table the scan rejects thus never
+    # splits, and on a failed split the scan's error, if any, is the one
+    # raised, as when the scan ran first.
+    try:
+        return _split(t, zero)
+    except RingConstructionError as exc:
+        rejection = exc
+    _check_commutative_group(t, zero)
+    raise rejection
+
+
+def _check_commutative_group(t: TableRing, zero: int) -> None:
+    """Raise unless add is commutative with inverses and mul is commutative."""
     n = t.size
     add, mul = t.add, t.mul
-    zero = _find_zero(t)
-
     # commutativity compares each row with its column, read off one transpose
     columns = tuple(zip(*add))
     for x in range(n):
@@ -183,7 +217,12 @@ def decompose_table_ring(t: TableRing) -> Ring:
             # (x, y), y > x, of a row-major scan
             y = next(y for y in range(x + 1, n) if mul[x][y] != columns[x][y])
             raise NotCommutative((x, y))
-    del columns
+
+
+def _split(t: TableRing, zero: int) -> Ring:
+    """The decomposition proper, for tables whose add row zero is the identity."""
+    n = t.size
+    add, mul = t.add, t.mul
     if mul[t.one] != tuple(range(n)):
         raise NotUnital(f"index {t.one} is not a multiplicative identity")
     for x in range(n):

@@ -188,6 +188,24 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--table", str(path))
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\xff\xfe" + json.dumps(table_to_json(zn_tables(2))).encode(), "can't decode byte 0xff"),
+            (b"[" * 200_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf8", "too-deep"],
+    )
+    @pytest.mark.parametrize("option", ["--table", "--registry"])
+    def test_unreadable_json_is_input_error(self, capsys, tmp_path, content, reason, option):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        ring = ["--zn", "6"] if option == "--registry" else []
+        code, out, err = run(capsys, "verify", *ring, option, str(path))
+        assert code == EXIT_INPUT
+        assert str(path) in err and reason in err
+        assert "Traceback" not in err and out == ""
+
     def test_boolean_table_entry_is_input_error(self, capsys, tmp_path):
         doc = table_to_json(zn_tables(2))
         doc["add"][0][1] = True

@@ -25,6 +25,7 @@ from zdgraph import (
 )
 from zdgraph.cli import EXIT_OK, main
 from zdgraph.rings import TableRing
+from zdgraph import tables
 from zdgraph.tables import decompose_table_ring, product_tables
 
 
@@ -94,12 +95,13 @@ def test_rejects_broken_structures():
         decompose_table_ring(TableRing(2, 1, ((0, 1), (1, 0)), ((0, 0), (0, 0))))
 
 
-def _corrupted(t: TableRing, *changes) -> TableRing:
-    """t with each (table, x, y, value) written into the named table."""
+def _corrupted(t: TableRing, *changes, one: int | None = None) -> TableRing:
+    """t with each (table, x, y, value) written into the named table, and one replaced if given."""
     tables = {"add": [list(row) for row in t.add], "mul": [list(row) for row in t.mul]}
     for name, x, y, v in changes:
         tables[name][x][y] = v
-    return TableRing(t.size, t.one, *(tuple(map(tuple, tables[name])) for name in ("add", "mul")))
+    one = t.one if one is None else one
+    return TableRing(t.size, one, *(tuple(map(tuple, tables[name])) for name in ("add", "mul")))
 
 
 def test_commutativity_names_the_first_pair():
@@ -163,27 +165,57 @@ _product_tables = functools.cache(product_tables)
 
 @st.composite
 def corrupted_product_tables(draw):
-    """Relabelled F_q1 x ... x F_qk tables (k <= 3) with up to two entries overwritten.
+    """Relabelled F_q1 x ... x F_qk tables (k <= 3) with up to three entries overwritten.
 
     An overwrite sets one add or mul entry, and with it the mirrored entry
-    when it is symmetric.
+    when it is symmetric.  Sometimes the identity index is replaced too.
     """
     qs = tuple(sorted(draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=3))))
     t = relabelled(_product_tables(qs), draw(st.integers(0, 2**16)))
     n = t.size
     changes = []
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 3))):
         name = draw(st.sampled_from(("add", "mul")))
         x, y, v = (draw(st.integers(0, n - 1)) for _ in range(3))
         changes.append((name, x, y, v))
         if draw(st.booleans()):
             changes.append((name, y, x, v))
-    return _corrupted(t, *changes)
+    one = draw(st.integers(0, n - 1)) if draw(st.booleans()) else None
+    return _corrupted(t, *changes, one=one)
 
 
 @given(t=corrupted_product_tables())
 @settings(max_examples=150, deadline=None)
 def test_decomposition_matches_entry_scan(t):
+    assert _outcome(decompose_table_ring, t) == _outcome(reference_engines.decompose_table_ring, t)
+
+
+_Z30 = relabelled(zn_tables(30), 30)
+
+
+@pytest.mark.parametrize(
+    "t, expected",
+    [
+        # the scan's errors still come first: a one-sided mul change with a
+        # wrong identity is not commutative, not merely not unital
+        (_corrupted(_Z30, ("mul", 20, 7, 0), one=_Z30.add[_Z30.one][_Z30.one]), NotCommutative),
+        (_corrupted(zn_tables(30), ("mul", 20, 7, 0), one=0), NotCommutative),
+        (_corrupted(_Z30, ("add", 9, 4, 0)), NotAdditiveGroup),
+        (relabelled(product_tables((2, 2)), 1), (2, 2)),
+    ],
+)
+def test_error_precedence_matches_entry_scan(t, expected):
+    outcome = _outcome(decompose_table_ring, t)
+    assert outcome == _outcome(reference_engines.decompose_table_ring, t)
+    assert outcome[0] == expected
+
+
+@pytest.mark.parametrize("t", [_Z30, relabelled(zn_tables(210), 210), relabelled(product_tables((2, 2)), 2)])
+def test_tables_that_decompose_skip_the_commutativity_scan(t, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the commutativity scan ran on tables that decompose")
+
+    monkeypatch.setattr(tables, "_check_commutative_group", fail)
     assert _outcome(decompose_table_ring, t) == _outcome(reference_engines.decompose_table_ring, t)
 
 
@@ -217,13 +249,25 @@ def test_json_flat_matrices():
     assert table_from_json(doc) == t
 
 
+def test_loaded_entries_share_one_int_per_value(tmp_path):
+    path = tmp_path / "z330.json"
+    path.write_text(json.dumps(table_to_json(relabelled(zn_tables(330), 330))))
+    t = load_table_file(path)
+    entries = [v for matrix in (t.add, t.mul) for row in matrix for v in row]
+    assert len({id(v) for v in entries}) == len(set(entries)) == 330
+
+
+MALFORMED_DOCS = [
+    {"size": 2, "one": 1, "add": [[0, 1]], "mul": [[0, 0], [0, 1]]},
+    {"size": 2, "one": 1, "add": [[0, 9], [1, 0]], "mul": [[0, 0], [0, 1]]},
+    {"one": 1, "add": [], "mul": []},
+]
+
+
 def test_json_rejects_malformed():
-    with pytest.raises(InputFormatError):
-        table_from_json({"size": 2, "one": 1, "add": [[0, 1]], "mul": [[0, 0], [0, 1]]})
-    with pytest.raises(InputFormatError):
-        table_from_json({"size": 2, "one": 1, "add": [[0, 9], [1, 0]], "mul": [[0, 0], [0, 1]]})
-    with pytest.raises(InputFormatError):
-        table_from_json({"one": 1, "add": [], "mul": []})
+    for doc in MALFORMED_DOCS:
+        with pytest.raises(InputFormatError):
+            table_from_json(doc)
 
 
 Z3_ADD = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -239,17 +283,17 @@ def _z3_doc(add_changes=(), flat=False, **fields):
     return {"size": 3, "one": 1, "add": add, "mul": Z3_MUL, **fields}
 
 
-@pytest.mark.parametrize(
-    "doc, message",
-    [
-        (_z3_doc(size=True, one=0), "size must be a positive integer, got True"),
-        (_z3_doc(one=True), "one must be an index below 3, got True"),
-        (_z3_doc(one=False), "one must be an index below 3, got False"),
-        (_z3_doc([(2, 1, True)]), "add entry True is not an index below 3"),
-        (_z3_doc([(0, 0, False)], flat=True), "add entry False is not an index below 3"),
-        ({**_z3_doc(), "mul": [[0, 0, 0], [0, 1, 2], [0, 2, True]]}, "mul entry True is not an index below 3"),
-    ],
-)
+BOOLEAN_CASES = [
+    (_z3_doc(size=True, one=0), "size must be a positive integer, got True"),
+    (_z3_doc(one=True), "one must be an index below 3, got True"),
+    (_z3_doc(one=False), "one must be an index below 3, got False"),
+    (_z3_doc([(2, 1, True)]), "add entry True is not an index below 3"),
+    (_z3_doc([(0, 0, False)], flat=True), "add entry False is not an index below 3"),
+    ({**_z3_doc(), "mul": [[0, 0, 0], [0, 1, 2], [0, 2, True]]}, "mul entry True is not an index below 3"),
+]
+
+
+@pytest.mark.parametrize("doc, message", BOOLEAN_CASES)
 def test_json_rejects_booleans(doc, message):
     with pytest.raises(InputFormatError) as exc:
         table_from_json(doc)
@@ -258,23 +302,47 @@ def test_json_rejects_booleans(doc, message):
 
 # the first bad entry in row-major order is named, whether the matrix is
 # nested or flat; a matrix is flat when none of its entries is a list
-@pytest.mark.parametrize(
-    "changes, flat, message",
-    [
-        ([(0, 2, 1.5), (2, 1, -1)], False, "add entry 1.5 is not an index below 3"),
-        ([(1, 0, "2"), (2, 2, 7)], False, "add entry '2' is not an index below 3"),
-        ([(1, 2, -1), (2, 0, 2.0)], False, "add entry -1 is not an index below 3"),
-        ([(2, 1, 3)], False, "add entry 3 is not an index below 3"),
-        ([(0, 2, 1.5)], True, "add entry 1.5 is not an index below 3"),
-        ([(2, 1, "2")], True, "add entry '2' is not an index below 3"),
-        ([(1, 0, -1), (2, 1, 5)], True, "add entry -1 is not an index below 3"),
-        ([(2, 2, 3)], True, "add entry 3 is not an index below 3"),
-    ],
-)
+BAD_ENTRY_CASES = [
+    ([(0, 2, 1.5), (2, 1, -1)], False, "add entry 1.5 is not an index below 3"),
+    ([(1, 0, "2"), (2, 2, 7)], False, "add entry '2' is not an index below 3"),
+    ([(1, 2, -1), (2, 0, 2.0)], False, "add entry -1 is not an index below 3"),
+    ([(2, 1, 3)], False, "add entry 3 is not an index below 3"),
+    ([(0, 2, 1.5)], True, "add entry 1.5 is not an index below 3"),
+    ([(2, 1, "2")], True, "add entry '2' is not an index below 3"),
+    ([(1, 0, -1), (2, 1, 5)], True, "add entry -1 is not an index below 3"),
+    ([(2, 2, 3)], True, "add entry 3 is not an index below 3"),
+]
+
+
+@pytest.mark.parametrize("changes, flat, message", BAD_ENTRY_CASES)
 def test_json_parse_errors_name_the_first_bad_entry(changes, flat, message):
     with pytest.raises(InputFormatError) as exc:
         table_from_json(_z3_doc(changes, flat=flat))
     assert str(exc.value) == message
+
+
+def _raised(parse, arg):
+    with pytest.raises(Exception) as exc:
+        parse(arg)
+    return type(exc.value), exc.value.args
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        *MALFORMED_DOCS,
+        *(doc for doc, _ in BOOLEAN_CASES),
+        *(_z3_doc(changes, flat=flat) for changes, flat, _ in BAD_ENTRY_CASES),
+    ],
+)
+def test_table_file_errors_match_table_from_json(doc, tmp_path):
+    """The pooled integer parser changes no error: a file fails as its document does."""
+    text = json.dumps(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    expected = _raised(table_from_json, json.loads(text))
+    assert expected[0] is InputFormatError
+    assert _raised(load_table_file, path) == expected
 
 
 def test_table_oracle_against_theory(z30):
