@@ -261,15 +261,18 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             moduli = [int(part) for part in args.moduli.split(",") if part.strip()]
         except ValueError:
             raise InputFormatError(f"--moduli expects comma-separated integers, got {args.moduli!r}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        if not moduli:
+            raise InputFormatError("--moduli given but empty")
     suites = _parse_suites(args.suites)
     registry = load_registry()
+    # a bad modulus fails here, before any report is written
+    rings = [(n, _build_ring(SquarefreeModulus(n))) for n in moduli]
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     any_unregistered = False
     totals = {"confirmed": 0, "violated": 0, "violated_registered": 0, "not_applicable": 0}
-    for n in moduli:
-        ring = _build_ring(SquarefreeModulus(n))
+    for n, ring in rings:
         report = run_verification(
             ring, suites=suites, seed=args.seed, per_signature_cap=args.pair_cap, registry=registry
         )

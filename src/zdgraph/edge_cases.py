@@ -17,6 +17,9 @@ from .errors import InputFormatError
 from .rings import Ring
 
 REGISTRY_FORMAT = 1
+# a misspelt key would otherwise be ignored and the entry match every ring
+ENTRY_KEYS = ("check_id", "applies", "reason")
+APPLIES_KEYS = ("k", "has_factor_2")
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,12 @@ class Registry:
         return None
 
 
+def _reject_unknown_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise InputFormatError(f"unknown key {key!r} in {where}; expected one of {', '.join(known)}")
+
+
 def _parse_registry(obj: object) -> Registry:
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise InputFormatError("registry file must be an object with an 'entries' list")
@@ -58,12 +67,15 @@ def _parse_registry(obj: object) -> Registry:
     for raw in obj["entries"]:
         if not isinstance(raw, dict) or "check_id" not in raw or "reason" not in raw:
             raise InputFormatError("each registry entry needs 'check_id' and 'reason'")
+        _reject_unknown_keys(raw, ENTRY_KEYS, "registry entry")
         applies = raw.get("applies", {})
         if not isinstance(applies, dict):
             raise InputFormatError("'applies' must be an object")
+        _reject_unknown_keys(applies, APPLIES_KEYS, "'applies'")
         k = applies.get("k")
         has2 = applies.get("has_factor_2")
-        if k is not None and not isinstance(k, int):
+        # bool is a subclass of int, but true is no factor count
+        if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
             raise InputFormatError("'applies.k' must be an integer")
         if has2 is not None and not isinstance(has2, bool):
             raise InputFormatError("'applies.has_factor_2' must be a boolean")

@@ -11,6 +11,7 @@ interchangeable, which is what makes the compression exact.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from .rings import (
     _lowest,
     iter_bits,
     render_support,
-    submasks,
     subset_products,
 )
 
@@ -435,86 +435,59 @@ class DominationResult:
 
 
 def domination(G: GraphView, total: bool = False) -> DominationResult:
-    """Exact minimum (total) dominating set size via branch and bound.
+    """Exact minimum (total) dominating set size: two bounds, then exhaustive rounds.
 
     A class either contributes nothing, one copy, or all of its copies;
     one copy already dominates every disjoint class, and only a fully chosen
     class dominates itself (copies are never adjacent, so for the total
-    variant self-cover never counts).  The search state is two class
-    bitsets: `one` holds the classes with one copy chosen and `every` the
-    classes chosen whole.  The lower bound packs uncovered classes no single
-    choice can cover together, and the first incumbent is one copy per
-    single-coordinate class.
+    variant self-cover never counts).  A choice set is two class bitsets:
+    `one` holds the classes with one copy chosen and `every` the classes
+    chosen whole.
+
+    The upper bound is one copy of each single-coordinate class.  The lower
+    bound packs the classes missing one coordinate that the empty choice
+    leaves uncovered and that pairwise conflict, so that no one choice covers
+    two of them.  From three factors on, and for the total variant, all k
+    conflict and the bounds meet.  Otherwise the rounds try every choice set
+    of cost lb, lb + 1, ... below the upper bound, one node per set, and the
+    first dominating set of the first round that has one is the answer.
     """
     ws = G.weights
     full = G.full_mask
     k = G.ring.k
     lat = _lattice(k)
-
-    ONE, FULL = 1, 2
     # bit m is set when class m has one copy; bit 0 stands for no class
     weight_one = int("".join("1" if w == 1 else "0" for w in reversed(ws)) + "0", 2)
 
-    def choice_cost(one: int, every: int, m: int, lev: int) -> int:
-        w = ws[m - 1]
-        cur = w if every >> m & 1 else one >> m & 1
-        new = 1 if lev == ONE else w
-        return max(0, new - cur)
+    def uncovered(one: int, every: int) -> int:
+        covered = _neighbors(lat, one | every)
+        if not total:
+            covered |= every | (one & weight_one)
+        return lat[2] & ~covered
 
     def conflict(ma: int, mb: int) -> bool:
         return (ma | mb) == full and (total or (ma & mb) != 0)
 
-    def lower_bound(uncovered: int) -> int:
-        # Conflicting classes have disjoint complements, so a pack holds at
-        # most k classes, and a pack of k holds every full ^ (1 << i).
-        pack: list[int] = []
-        for m in _largest_first(k, uncovered):
-            if all(conflict(m, p) for p in pack):
-                pack.append(m)
-                if len(pack) == k:
-                    break
-        return len(pack)
+    left = uncovered(0, 0)
+    pack: list[int] = []
+    for m in sorted(full ^ (1 << i) for i in range(k)):
+        if left >> m & 1 and all(conflict(m, p) for p in pack):
+            pack.append(m)
 
-    # incumbent (cost, one, every): one copy of every single-coordinate class
+    # (cost, one, every): one copy of each single-coordinate class
     best = (k, sum(1 << (1 << b) for b in range(k)), 0)
     nodes = 0
-
-    def search(one: int, every: int, cost: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > DOMINATION_NODE_BUDGET:
-            return
-        covered = _neighbors(lat, one | every)
-        if not total:
-            covered |= every | (one & weight_one)
-        uncovered = lat[2] & ~covered
-        if not uncovered:
-            if cost < best[0]:
-                best = (cost, one, every)
-            return
-        if cost + lower_bound(uncovered) >= best[0]:
-            return
-        # branch on the class with the fewest ways to cover it
-        target = min(iter_bits(uncovered), key=lambda m: ((full & ~m).bit_count(), m))
-        comp = full & ~target
-        opts = [(1 << b, ONE) for b in iter_bits(comp)]
-        if not total:
-            # a singleton with one copy is already above
-            opts += [(s, FULL) for s in submasks(comp) if s & (s - 1) or ws[s - 1] > 1]
-            opts.append((target, FULL))
-        opts.sort(key=lambda o: (choice_cost(one, every, *o), -(full & ~o[0]).bit_count(), o[0], o[1]))
-        for m, lev in opts:
-            extra = choice_cost(one, every, m, lev)
-            if extra == 0 or cost + extra >= best[0]:
-                continue
-            if lev == ONE:
-                search(one | 1 << m, every, cost + extra)
-            else:
-                search(one & ~(1 << m), every | 1 << m, cost + extra)
-
-    root_lb = lower_bound(lat[2])
-    if root_lb < best[0]:
-        search(0, 0, 0)
+    for cost in range(len(pack), k):
+        found = None
+        for one, every in _choice_sets(G, cost):
+            nodes += 1
+            if nodes > DOMINATION_NODE_BUDGET:
+                break
+            if found is None and not uncovered(one, every):
+                found = (cost, one, every)
+        best = found or best
+        if found or nodes > DOMINATION_NODE_BUDGET:
+            break
 
     size, one, every = best
     witness = [Vertex(m, 0) for m in iter_bits(one)]
@@ -528,24 +501,27 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
         certified=nodes <= DOMINATION_NODE_BUDGET,
         total=total,
         nodes=nodes,
-        root_lower_bound=root_lb,
+        root_lower_bound=len(pack),
     )
 
 
-def _largest_first(k: int, bits: int) -> Iterator[int]:
-    """The classes in the set `bits`, largest first and ascending within a size.
+def _choice_sets(G: GraphView, cost: int) -> Iterator[tuple[int, int]]:
+    """Every choice set of exactly this cost, as (one, every) class bitsets.
 
-    Gosper's hack steps from a mask to the next larger one with as many bits.
+    A choice is one copy of a class, or all of its copies when it has
+    several.  A set takes at most one choice per class, and each choice
+    costs at least one copy, so it holds at most `cost` of them.
     """
-    full = (1 << k) - 1
-    for size in range(k - 1, 0, -1):
-        m = (1 << size) - 1
-        while m < full:
-            if bits >> m & 1:
-                yield m
-            low = m & -m
-            r = m + low
-            m = r | ((r ^ m) >> 2) // low
+    # (cost, class, whole)
+    choices = [(1, m, False) for m in G.classes]
+    choices += [(w, m, True) for m, w in zip(G.classes, G.weights) if w > 1]
+    for r in range(cost + 1):
+        for picked in itertools.combinations(choices, r):
+            if sum(c for c, _, _ in picked) == cost and len({m for _, m, _ in picked}) == r:
+                yield (
+                    sum(1 << m for _, m, whole in picked if not whole),
+                    sum(1 << m for _, m, whole in picked if whole),
+                )
 
 
 def _validate_domination(G: GraphView, witness: list[Vertex], total: bool) -> None:

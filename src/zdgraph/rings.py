@@ -279,9 +279,6 @@ class Ring:
     def one(self) -> Element:
         return self.element((1,) * self.k)
 
-    def two(self) -> Element:
-        return self.element((2,) * self.k)
-
     def idempotent(self, i: int) -> Element:
         """e_i: the element with 1 in coordinate i and 0 elsewhere."""
         coords = tuple(1 if j == i else 0 for j in range(self.k))

@@ -60,9 +60,6 @@ class TopSet:
     def intersect(self, other: "TopSet") -> "TopSet":
         return TopSet(self.mask & other.mask, self.space_size)
 
-    def complement(self) -> "TopSet":
-        return TopSet(((1 << self.space_size) - 1) & ~self.mask, self.space_size)
-
     def is_subset(self, other: "TopSet") -> bool:
         return self.mask & ~other.mask == 0
 

@@ -2,8 +2,8 @@
 
 Each check pairs a structural prediction (computed from supports and the
 min-prime topology) with an oracle that recomputes the same fact a different
-way (ring arithmetic, breadth-first search, disjoint-path search, branch and
-bound).  Every comparison becomes one record; violations matching the
+way (ring arithmetic, breadth-first search, disjoint-path search, exact
+domination).  Every comparison becomes one record; violations matching the
 edge-case registry are marked registered, anything else failing is an
 unregistered violation.
 

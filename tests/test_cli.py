@@ -145,6 +145,15 @@ class TestVerify:
         )
         assert code == EXIT_VIOLATIONS
 
+    def test_registry_with_misspelt_key_exits_three(self, capsys, tmp_path):
+        reg = tmp_path / "typo.json"
+        entry = {"check_id": "radius.gamma", "applies": {"has_factor2": True}, "reason": "r"}
+        reg.write_text(json.dumps({"format": 1, "entries": [entry]}))
+        code, out, err = run(capsys, "verify", "--zn", "6", "--registry", str(reg))
+        assert code == EXIT_INPUT
+        assert "'has_factor2'" in err
+        assert "Traceback" not in err and out == ""
+
     def test_report_file(self, capsys, tmp_path):
         path = tmp_path / "r.json"
         code, _, _ = run(
@@ -242,6 +251,18 @@ class TestDominate:
         assert code == EXIT_OK
         assert json.loads(out)["size"] == 3
 
+    def test_budget_hit_is_reported_and_violates_finite(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(graphs, "DOMINATION_NODE_BUDGET", 1)
+        code, out, _ = run(capsys, "dominate", "--zn", "15", "--graph", "gamma")
+        assert code == EXIT_OK
+        assert "minimum dominating set has size 2 (NOT certified (budget hit))" in out
+        report = tmp_path / "r.json"
+        code, _, _ = run(capsys, "verify", "--zn", "15", "--suites", "domination", "--report", str(report))
+        assert code == EXIT_VIOLATIONS
+        records = json.loads(report.read_text())["records"]
+        finite = [(r["verdict"], r["registered"]) for r in records if r["check_id"] == "domination.finite"]
+        assert finite == [("Violated", False)]
+
 
 class TestBatch:
     def test_small_sweep(self, capsys, tmp_path):
@@ -286,6 +307,20 @@ class TestBatch:
         assert "pair cap must be at least 1, got -2" in err
         assert "Traceback" not in err
         assert list(out_dir.iterdir()) == []
+
+    def test_empty_moduli_is_input_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "reports"
+        code, out, err = run(capsys, "batch", "--moduli", ",", "--out-dir", str(out_dir))
+        assert code == EXIT_INPUT
+        assert "--moduli" in err and "Traceback" not in err
+        assert out == "" and not out_dir.exists()
+
+    def test_bad_modulus_writes_no_report(self, capsys, tmp_path):
+        out_dir = tmp_path / "reports"
+        code, out, err = run(capsys, "batch", "--moduli", "6,36", "--out-dir", str(out_dir))
+        assert code == EXIT_INPUT
+        assert "36" in err and "Traceback" not in err
+        assert out == "" and not out_dir.exists()
 
 
 class TestInternalInconsistency:

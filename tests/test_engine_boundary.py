@@ -9,7 +9,7 @@ It also rejects import cycles among the package's modules, counting the
 imports inside functions, which Python resolves only when they run.
 
 Last, it keeps the graph engine and the topology layer apart.  `graphs`
-supplies the oracles (class BFS, path searches, branch and bound) and
+supplies the oracles (class BFS, path searches, exact domination) and
 `spectrum` the predictions (closures and kernels over Min(R)); a
 prediction that reused an oracle's code would no longer check it.  So
 neither module imports the other, inside a function or not, and the

@@ -37,6 +37,8 @@ from zdgraph import graphs
 from zdgraph.graphs import class_distances
 from zdgraph.rings import Ideal
 
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
 
 def gv(ring, residue):
     return gamma_vertex(ring, ring.from_residue(residue))
@@ -346,6 +348,28 @@ class TestDomination:
             for total in (False, True):
                 res = domination(build(ring), total=total)
                 assert (res.size, res.nodes, res.root_lower_bound) == (12, 0, 12)
+
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_bounds_meet_from_three_factors(self, k):
+        # all k classes missing one coordinate pairwise conflict, so no round runs
+        ring = build_ring(PrimeFactors(FIRST_PRIMES[:k]))
+        for build in (build_gamma, build_ag):
+            for total in (False, True):
+                res = domination(build(ring), total=total)
+                assert (res.size, res.nodes, res.root_lower_bound) == (k, 0, k), (build, total)
+
+    def test_bounds_meet_for_total_at_two_factors(self):
+        ring = build_ring(PrimeFactors(FIRST_PRIMES[:2]))
+        for build in (build_gamma, build_ag):
+            res = domination(build(ring), total=True)
+            assert (res.size, res.nodes, res.root_lower_bound) == (2, 0, 2)
+
+    def test_budget_hit_keeps_the_incumbent_uncertified(self, monkeypatch):
+        monkeypatch.setattr(graphs, "DOMINATION_NODE_BUDGET", 1)
+        res = domination(build_gamma(build_ring(PrimeFactors((3, 5)))))
+        assert not res.certified
+        assert (res.size, res.nodes, res.root_lower_bound) == (2, 2, 1)
+        assert res.witness == (Vertex(0b01), Vertex(0b10))
 
 
 class TestRetract:

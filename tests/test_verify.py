@@ -68,6 +68,15 @@ class TestRegistry:
         path.write_text(json.dumps({"format": 1, "entries": [{"check_id": 5}]}))
         with pytest.raises(InputFormatError):
             load_registry(path)
+        # a misspelt key must not turn an entry into one that matches every ring
+        for entry, key in (
+            ({"check_id": "radius.gamma", "applies": {"has_factor2": True}, "reason": "r"}, "'has_factor2'"),
+            ({"check_id": "radius.gamma", "apply": {"k": 2}, "reason": "r"}, "'apply'"),
+            ({"check_id": "radius.gamma", "applies": {"k": True}, "reason": "r"}, "'applies.k'"),
+        ):
+            path.write_text(json.dumps({"format": 1, "entries": [entry]}))
+            with pytest.raises(InputFormatError, match=key):
+                load_registry(path)
 
 
 class TestSmallRingViolations:
