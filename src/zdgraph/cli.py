@@ -32,7 +32,7 @@ from .rings import (
 )
 from .spectrum import fixed_place_status, maximal_annihilating, min_primes
 from .tables import load_table_file
-from .verify import ALL_SUITES, run_verification
+from .verify import ALL_SUITES, run_verification, select_suites
 from .edge_cases import load_registry
 from .errors import NoAnnihilatingIdeals
 from .version import __version__
@@ -254,6 +254,7 @@ def _cmd_dominate(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    suites = select_suites(_parse_suites(args.suites), args.pair_cap)
     if args.squarefree_below is not None:
         moduli = squarefree_moduli(args.squarefree_below)
     else:
@@ -261,9 +262,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             moduli = [int(part) for part in args.moduli.split(",") if part.strip()]
         except ValueError:
             raise InputFormatError(f"--moduli expects comma-separated integers, got {args.moduli!r}")
-        if not moduli:
-            raise InputFormatError("--moduli given but empty")
-    suites = _parse_suites(args.suites)
+    if not moduli:
+        given = "--moduli" if args.squarefree_below is None else f"--squarefree-below {args.squarefree_below}"
+        raise InputFormatError(f"{given} leaves no modulus to verify")
     registry = load_registry()
     # a bad modulus fails here, before any report is written
     rings = [(n, _build_ring(SquarefreeModulus(n))) for n in moduli]

@@ -171,25 +171,28 @@ def _neighbors(lat: tuple[str, tuple[int, ...], int], bits: int) -> int:
     return _closed_down(has, int(format(bits, fmt)[::-1], 2)) & classes
 
 
-def class_distances(G: GraphView, src: int) -> list[int]:
-    """BFS over classes from class mask `src`, as a list of level bitsets.
+def _levels(lat: tuple[str, tuple[int, ...], int], start: int, usable: int, stop: int) -> list[int]:
+    """BFS levels over the `usable` classes from `start`, as bitsets.
 
-    Level d has bit m set for each class mask m at distance d from the
-    source class.  A class's neighbors are the nonempty submasks of its
-    complement, so the next level is `_neighbors` of the frontier, less the
-    classes already seen.
+    Each level is `_neighbors` of the last, less the classes seen.  The walk
+    ends at a level that meets `stop`, once every usable class is seen, or
+    at an empty level, which it keeps.
+    """
+    levels = [start & usable]
+    seen = levels[0]
+    while levels[-1] and not levels[-1] & stop and seen != usable:
+        levels.append(_neighbors(lat, levels[-1]) & usable & ~seen)
+        seen |= levels[-1]
+    return levels
+
+
+def class_distances(G: GraphView, src: int) -> list[int]:
+    """BFS levels from class `src`: bit m of level d is set when class m is d away.
+
+    On a disconnected graph the last level is empty.
     """
     lat = _lattice(G.ring.k)
-    frontier = 1 << src
-    seen = frontier
-    levels = [frontier]
-    while seen != lat[2]:
-        frontier = _neighbors(lat, frontier) & ~seen
-        if not frontier:
-            break
-        seen |= frontier
-        levels.append(frontier)
-    return levels
+    return _levels(lat, 1 << src, lat[2], 0)
 
 
 def distance(G: GraphView, u: Vertex, v: Vertex) -> int:
@@ -335,12 +338,8 @@ def _shortest_path(
     `usable` classes are walked.  The path takes the lowest mask at each
     step.  None when no path passes through a class.
     """
-    levels = [start & usable]
-    seen = levels[0]
-    while levels[-1] and not levels[-1] & near:
-        levels.append(_neighbors(lat, levels[-1]) & usable & ~seen)
-        seen |= levels[-1]
-    if not levels[-1]:
+    levels = _levels(lat, start, usable, near)
+    if not levels[-1] & near:
         return None
     path = [_lowest(levels.pop() & near)]
     while levels:

@@ -235,14 +235,23 @@ class Ring:
     """A product of prime fields F_q1 x ... x F_qk.
 
     `modulus` is set when the ring came from a squarefree Z_n, in which case
-    elements round-trip to residues by CRT.  `table_iso` maps table indices
-    to coordinate tuples when the ring came from tables.
+    it must be the product of `qs` and elements round-trip to residues by
+    CRT.  `table_iso` maps table indices to coordinate tuples when the ring
+    came from tables.
     """
 
     qs: tuple[int, ...]
     modulus: int | None = None
     table_iso: tuple[tuple[int, ...], ...] | None = None
-    _crt_basis: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    _crt_basis: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # basis[i] = (n/qi) * inverse(n/qi mod qi), so coords map back by a dot product
+        n = self.modulus
+        if n is not None and n != math.prod(self.qs):
+            raise ValueError(f"modulus {n} is not the product of the factors {self.qs}")
+        basis = () if n is None else tuple(n // q * pow(n // q, -1, q) % n for q in self.qs)
+        object.__setattr__(self, "_crt_basis", basis)
 
     @property
     def k(self) -> int:
@@ -397,15 +406,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _crt_basis(qs: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # basis[i] = (n/qi) * inverse(n/qi mod qi), so coords map back by a dot product
-    basis = []
-    for q in qs:
-        m = n // q
-        basis.append(m * pow(m, -1, q) % n)
-    return tuple(basis)
-
-
 def build_ring(spec: RingSpec, max_factors: int = DEFAULT_MAX_FACTORS) -> Ring:
     """Build the coordinate form of the ring described by `spec`.
 
@@ -416,7 +416,7 @@ def build_ring(spec: RingSpec, max_factors: int = DEFAULT_MAX_FACTORS) -> Ring:
     """
     if isinstance(spec, SquarefreeModulus):
         qs = tuple(sorted(factor_squarefree(spec.n)))
-        ring = Ring(qs=qs, modulus=spec.n, _crt_basis=_crt_basis(qs, spec.n))
+        ring = Ring(qs=qs, modulus=spec.n)
     elif isinstance(spec, PrimeFactors):
         if not spec.primes:
             raise RingConstructionError("a ring needs at least one prime factor")

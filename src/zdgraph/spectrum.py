@@ -96,63 +96,59 @@ def whole_space(ring: Ring) -> TopSet:
     return TopSet(ring.full_mask, ring.k)
 
 
-def cozero_set(ring: Ring, x: Element | Ideal, within: TopSet | None = None) -> TopSet:
-    """h_Y^c(x): the primes of Y that miss x, i.e. P_i with x_i != 0."""
-    y = within if within is not None else whole_space(ring)
+def cozero_set(ring: Ring, x: Element | Ideal) -> TopSet:
+    """h^c(x): the primes that miss x, i.e. P_i with x_i != 0."""
     support = x.support_mask if isinstance(x, Element) else x.mask
-    return TopSet(y.mask & support, ring.k)
+    return TopSet(ring.full_mask & support, ring.k)
 
 
-def zero_set(ring: Ring, x: Element | Ideal, within: TopSet | None = None) -> TopSet:
-    """h_Y(x): the primes of Y that contain x, i.e. P_i with x_i == 0."""
-    y = within if within is not None else whole_space(ring)
-    return TopSet(y.mask & ~cozero_set(ring, x).mask, ring.k)
+def zero_set(ring: Ring, x: Element | Ideal) -> TopSet:
+    """h(x): the primes that contain x, i.e. P_i with x_i == 0."""
+    return TopSet(ring.full_mask & ~cozero_set(ring, x).mask, ring.k)
 
 
-def base_open_sets(ring: Ring, within: TopSet | None = None) -> Iterable[TopSet]:
-    """The base {coz(a) : a in R} of Y, one representative per support.
+def base_open_sets(ring: Ring) -> Iterable[TopSet]:
+    """The base {coz(a) : a in R}, one representative per support.
 
     Every subset of coordinates is the support of some element (a sum of the
     matching idempotents), so the base is enumerated over supports instead of
     over all ring elements.
     """
-    ymask = (within if within is not None else whole_space(ring)).mask
-    sub = ymask
+    sub = full = ring.full_mask
     while True:
         yield TopSet(sub, ring.k)
         if sub == 0:
             break
-        sub = (sub - 1) & ymask
+        sub = (sub - 1) & full
 
 
-def interior(ring: Ring, a: TopSet, within: TopSet | None = None) -> TopSet:
+def interior(ring: Ring, a: TopSet) -> TopSet:
     """Union of the base open sets contained in `a`."""
     out = 0
-    for b in base_open_sets(ring, within):
+    for b in base_open_sets(ring):
         if b.is_subset(a):
             out |= b.mask
     return TopSet(out, ring.k)
 
 
-def closure(ring: Ring, a: TopSet, within: TopSet | None = None) -> TopSet:
-    y = within if within is not None else whole_space(ring)
-    inner = interior(ring, TopSet(y.mask & ~a.mask, ring.k), within)
-    return TopSet(y.mask & ~inner.mask, ring.k)
+def closure(ring: Ring, a: TopSet) -> TopSet:
+    full = ring.full_mask
+    inner = interior(ring, TopSet(full & ~a.mask, ring.k))
+    return TopSet(full & ~inner.mask, ring.k)
 
 
-def is_dense(ring: Ring, a: TopSet, within: TopSet | None = None) -> bool:
-    y = within if within is not None else whole_space(ring)
-    return closure(ring, a, within).mask == y.mask
+def is_dense(ring: Ring, a: TopSet) -> bool:
+    return closure(ring, a).mask == ring.full_mask
 
 
 def is_singleton(a: TopSet) -> bool:
     return a.mask != 0 and a.mask & (a.mask - 1) == 0
 
 
-def is_isolated_point(ring: Ring, p: int, within: TopSet | None = None) -> bool:
+def is_isolated_point(ring: Ring, p: int) -> bool:
     """A point is isolated when its singleton is open."""
     single = TopSet(1 << p, ring.k)
-    return interior(ring, single, within) == single
+    return interior(ring, single) == single
 
 
 def kernel(ring: Ring, a: TopSet) -> Ideal:

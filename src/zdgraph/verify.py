@@ -61,19 +61,6 @@ from .version import __version__
 
 REPORT_FORMAT = 1
 
-ALL_SUITES = (
-    "adjacency",
-    "distance",
-    "eccentricity",
-    "radius",
-    "triangle",
-    "orthogonal",
-    "girth",
-    "domination",
-    "spectrum",
-    "retract",
-)
-
 PRODUCT_SCAN_LIMIT = 20_000  # element pairs; beyond this only generators are multiplied
 
 
@@ -561,37 +548,38 @@ def _suite_retract(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int
     out.append(_rec("retract.adjacency-biconditional", True, both, bad, both))
 
 
-_EMPTY_GRAPH_IDS = {
-    "adjacency": ("adjacency.gamma", "adjacency.ag"),
-    "distance": ("distance.gamma", "distance.ag"),
-    "eccentricity": ("ecc.gamma", "ecc.ag"),
-    "radius": ("radius.gamma", "radius.ag", "radius.equal"),
-    "triangle": ("triangle.gamma", "triangle.ag", "triangulated.gamma", "triangulated.ag"),
-    "orthogonal": ("orthogonal.gamma", "orthogonal.ag"),
-    "girth": ("girth.gamma.three", "girth.ag.three"),
+# suite -> (runner, the check ids recorded as not applicable on a field, or
+# None when the runner handles a field itself), in report order
+_SUITES = {
+    "adjacency": (_suite_adjacency, ("adjacency.gamma", "adjacency.ag")),
+    "distance": (_suite_distance, ("distance.gamma", "distance.ag")),
+    "eccentricity": (_suite_eccentricity, ("ecc.gamma", "ecc.ag")),
+    "radius": (_suite_radius, ("radius.gamma", "radius.ag", "radius.equal")),
+    "triangle": (_suite_triangle, ("triangle.gamma", "triangle.ag", "triangulated.gamma", "triangulated.ag")),
+    "orthogonal": (_suite_orthogonal, ("orthogonal.gamma", "orthogonal.ag")),
+    "girth": (_suite_girth, ("girth.gamma.three", "girth.ag.three")),
     "domination": (
-        "domination.total.gamma",
-        "domination.total.ag",
-        "domination.ag",
-        "domination.gamma-le-ag",
-        "domination.bound",
-        "domination.finite",
+        _suite_domination,
+        (
+            "domination.total.gamma", "domination.total.ag", "domination.ag",
+            "domination.gamma-le-ag", "domination.bound", "domination.finite",
+        ),
     ),
-    "retract": ("retract.sz-identity", "retract.homomorphism", "retract.adjacency-biconditional"),
+    "spectrum": (_suite_spectrum, None),
+    "retract": (_suite_retract, ("retract.sz-identity", "retract.homomorphism", "retract.adjacency-biconditional")),
 }
 
-_SUITE_RUNNERS = {
-    "adjacency": _suite_adjacency,
-    "distance": _suite_distance,
-    "eccentricity": _suite_eccentricity,
-    "radius": _suite_radius,
-    "triangle": _suite_triangle,
-    "orthogonal": _suite_orthogonal,
-    "girth": _suite_girth,
-    "domination": _suite_domination,
-    "spectrum": _suite_spectrum,
-    "retract": _suite_retract,
-}
+ALL_SUITES = tuple(_SUITES)
+
+
+def select_suites(suites: tuple[str, ...] | list[str] | None, per_signature_cap: int) -> tuple[str, ...]:
+    """The suites to run, in report order; raises on an unknown name or a cap below 1."""
+    bad = sorted(set(suites or ()) - set(ALL_SUITES))
+    if bad:
+        raise InputFormatError(f"unknown suites: {', '.join(bad)}")
+    if per_signature_cap < 1:
+        raise InputFormatError(f"the pair cap must be at least 1, got {per_signature_cap}")
+    return ALL_SUITES if suites is None else tuple(s for s in ALL_SUITES if s in set(suites))
 
 
 def run_verification(
@@ -601,31 +589,17 @@ def run_verification(
     per_signature_cap: int = 6,
     registry: Registry | None = None,
 ) -> VerificationReport:
-    if suites is None:
-        chosen = ALL_SUITES
-    else:
-        bad = sorted(set(suites) - set(ALL_SUITES))
-        if bad:
-            raise InputFormatError(f"unknown suites: {', '.join(bad)}")
-        chosen = tuple(s for s in ALL_SUITES if s in set(suites))
-    if per_signature_cap < 1:
-        raise InputFormatError(f"the pair cap must be at least 1, got {per_signature_cap}")
+    chosen = select_suites(suites, per_signature_cap)
     reg = registry if registry is not None else load_registry()
 
     records: list[CheckRecord] = []
-    if ring.k >= 2:
-        Gg = build_gamma(ring)
-        Ga = build_ag(ring)
-        for suite in chosen:
-            _SUITE_RUNNERS[suite](ring, Gg, Ga, seed, per_signature_cap, records)
-    else:
-        note = "the ring is a field; both graphs are empty"
-        for suite in chosen:
-            if suite == "spectrum":
-                _suite_spectrum(ring, None, None, seed, per_signature_cap, records)
-            else:
-                for cid in _EMPTY_GRAPH_IDS[suite]:
-                    records.append(_na(cid, "", note))
+    graphs = (build_gamma(ring), build_ag(ring)) if ring.k >= 2 else (None, None)
+    for suite in chosen:
+        runner, field_ids = _SUITES[suite]
+        if ring.k >= 2 or field_ids is None:
+            runner(ring, *graphs, seed, per_signature_cap, records)
+        else:
+            records.extend(_na(cid, "", "the ring is a field; both graphs are empty") for cid in field_ids)
 
     for record in records:
         if record.verdict is Verdict.VIOLATED:

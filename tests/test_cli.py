@@ -306,7 +306,23 @@ class TestBatch:
         assert code == EXIT_INPUT
         assert "pair cap must be at least 1, got -2" in err
         assert "Traceback" not in err
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--squarefree-below", "10", "--suites", "nope"), "unknown suites: nope"),
+            (("--moduli", "6,10", "--suites", "girth,nope"), "unknown suites: nope"),
+            (("--squarefree-below", "2"), "--squarefree-below 2"),
+            (("--squarefree-below", "0"), "--squarefree-below 0"),
+        ],
+    )
+    def test_rejected_arguments_create_no_out_dir(self, capsys, tmp_path, argv, message):
+        out_dir = tmp_path / "reports"
+        code, out, err = run(capsys, "batch", *argv, "--out-dir", str(out_dir))
+        assert code == EXIT_INPUT
+        assert message in err and "Traceback" not in err
+        assert out == "" and not out_dir.exists()
 
     def test_empty_moduli_is_input_error(self, capsys, tmp_path):
         out_dir = tmp_path / "reports"

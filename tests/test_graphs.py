@@ -175,6 +175,16 @@ class TestBitsetBFS:
                     ecc = max(ecc, 2)
                 assert eccentricity(G, Vertex(mask)) == ecc
 
+    def test_shortest_path_stops_at_near_and_respects_usable(self):
+        lat = graphs._lattice(3)
+        # u = {0} and v = {2}: their neighbors meet only in class {1}
+        start, near = graphs._neighbors(lat, 1 << 0b001), graphs._neighbors(lat, 1 << 0b100)
+        assert start & near == 1 << 0b010
+        assert graphs._shortest_path(lat, start, near, lat[2]) == [0b010]
+        assert graphs._shortest_path(lat, start, near, lat[2] & ~near) is None
+        # with nothing to stop at, the walk keeps the empty level where it runs out
+        assert graphs._levels(lat, start, lat[2] & ~near, 0) == [start & ~near, 0]
+
     def test_distance_of_every_class_pair_at_k5(self):
         ring = build_ring(PrimeFactors((2, 2, 3, 3, 5)))
         for G in (build_gamma(ring), build_ag(ring)):

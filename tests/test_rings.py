@@ -132,6 +132,23 @@ def test_unlabelled_operands_get_the_crt_label(z30):
     assert z30.neg(x).label == -23 % 30
 
 
+@pytest.mark.parametrize("qs, n", [((2, 3, 5), 30), ((3, 2), 6)])
+def test_directly_built_ring_labels_like_build_ring(qs, n):
+    direct, built = Ring(qs=qs, modulus=n), build_ring(SquarefreeModulus(n))
+    for x in range(n):
+        assert str(direct.from_residue(x)) == str(built.from_residue(x)) == str(x)
+        for y in range(n):
+            a, b = direct.from_residue(x), direct.from_residue(y)
+            assert str(direct.mul(a, b)) == str(built.mul(built.from_residue(x), built.from_residue(y)))
+            # unlabelled operands take the CRT label from the basis
+            assert direct.mul(Element(a.coords), Element(b.coords)).label == x * y % n
+
+
+def test_modulus_other_than_the_factor_product_is_rejected():
+    with pytest.raises(ValueError, match="not the product"):
+        Ring(qs=(2, 3), modulus=30)
+
+
 @pytest.mark.parametrize("coords", [(1, 2), (1, 2, 3, 4)])
 def test_wrong_coordinate_count_is_rejected(z30, coords):
     bad, good = Element(coords), z30.from_residue(7)

@@ -48,8 +48,8 @@ def test_zero_and_cozero_partition(z30):
 def test_zero_set_relative_to_subspace(z30):
     y = TopSet(0b011, 3)
     x = z30.from_residue(10)
-    assert zero_set(z30, x, within=y).members == frozenset({0})
-    assert cozero_set(z30, x, within=y).members == frozenset({1})
+    assert zero_set(z30, x).intersect(y).members == frozenset({0})
+    assert cozero_set(z30, x).intersect(y).members == frozenset({1})
 
 
 def test_topology_is_discrete(z30):

@@ -146,6 +146,14 @@ class TestCleanRings:
         assert counts["not_applicable"] > 0
 
 
+    @pytest.mark.parametrize("suite", ALL_SUITES)
+    def test_field_records_stand_for_checks_of_the_same_suite(self, suite, z30):
+        f7 = build_ring(SquarefreeModulus(7))
+        field_ids = {r.check_id for r in run_verification(f7, suites=(suite,)).records}
+        ring_ids = {r.check_id for r in run_verification(z30, suites=(suite,)).records}
+        assert field_ids and field_ids <= ring_ids
+
+
 class TestReportShape:
     def test_deterministic_bytes(self, z30):
         a = run_verification(z30, seed=7).to_json_bytes()
