@@ -17,7 +17,6 @@ from .errors import (
     FactorNotPrimeField,
     InputFormatError,
     InternalInconsistency,
-    IsolatedVertex,
     NoAnnihilatingIdeals,
     NotAdditiveGroup,
     NotCommutative,
@@ -37,11 +36,9 @@ from .graphs import (
     GirthResult,
     GraphView,
     Vertex,
-    ag_vertex,
     build_ag,
     build_gamma,
     class_eccentricity,
-    common_neighbor,
     diameter,
     degree,
     distance,
@@ -66,16 +63,11 @@ from .rings import (
     TableRing,
     annihilating_ideals,
     annihilator_element,
-    annihilator_ideal,
     build_ring,
     enumerate_ideals,
     factor_squarefree,
-    ideal_algebra,
     ideal_contains,
     ideal_product,
-    ideal_sum,
-    is_annihilating,
-    principal_ideal,
 )
 from .spectrum import (
     BourbakiSet,
@@ -84,12 +76,9 @@ from .spectrum import (
     RetractReport,
     TopSet,
     bourbaki_primes,
-    closure,
     cozero_set,
     fixed_place_status,
     interior,
-    is_dense,
-    is_sz_ideal,
     kernel,
     maximal_annihilating,
     min_primes,

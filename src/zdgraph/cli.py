@@ -12,9 +12,11 @@ import sys
 from pathlib import Path
 
 from .corpus import squarefree_moduli
+from .edge_cases import load_registry
 from .errors import (
     InputFormatError,
     InternalInconsistency,
+    NoAnnihilatingIdeals,
     TooManyElements,
     TooManyFactors,
     ZdgraphError,
@@ -33,8 +35,6 @@ from .rings import (
 from .spectrum import fixed_place_status, maximal_annihilating, min_primes
 from .tables import load_table_file
 from .verify import ALL_SUITES, run_verification, select_suites
-from .edge_cases import load_registry
-from .errors import NoAnnihilatingIdeals
 from .version import __version__
 
 ENV_MAX_FACTORS = "ZDGRAPH_MAX_FACTORS"

@@ -79,13 +79,11 @@ def _parse_registry(obj: object) -> Registry:
             raise InputFormatError("'applies.k' must be an integer")
         if has2 is not None and not isinstance(has2, bool):
             raise InputFormatError("'applies.has_factor_2' must be a boolean")
+        for key in ("check_id", "reason"):
+            if not isinstance(raw[key], str) or not raw[key]:
+                raise InputFormatError(f"'{key}' must be a nonempty string")
         entries.append(
-            RegistryEntry(
-                check_id=str(raw["check_id"]),
-                k=k,
-                has_factor_2=has2,
-                reason=str(raw["reason"]),
-            )
+            RegistryEntry(check_id=raw["check_id"], k=k, has_factor_2=has2, reason=raw["reason"])
         )
     return Registry(tuple(entries))
 

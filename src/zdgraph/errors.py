@@ -82,7 +82,7 @@ class TooManyElements(ZdgraphError):
 
 
 class EmptyGraph(ZdgraphError):
-    """Requested graph has no vertices (the ring is a field or the zero ring)."""
+    """Requested graph has no vertices (the ring is a field)."""
 
 
 class NoAnnihilatingIdeals(ZdgraphError):
@@ -93,14 +93,6 @@ class Disconnected(ZdgraphError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"graph is disconnected, witness {witness}")
-
-
-class IsolatedVertex(ZdgraphError):
-    """Total domination is undefined when some vertex has no neighbor."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"vertex {witness} has no neighbor")
 
 
 class InputFormatError(ZdgraphError):

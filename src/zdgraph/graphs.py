@@ -143,13 +143,6 @@ def vertex_element(ring: Ring, v: Vertex) -> Element:
     return ring.element(tuple(coords))
 
 
-def ag_vertex(ring: Ring, ideal: Ideal) -> Vertex:
-    mask = ideal.mask
-    if mask == 0 or mask == ring.full_mask:
-        raise ValueError(f"{ideal} is not an annihilating ideal")
-    return Vertex(mask, 0)
-
-
 def vertex_label(G: GraphView, v: Vertex) -> str:
     if G.kind == GAMMA:
         return str(vertex_element(G.ring, v))
@@ -294,20 +287,12 @@ def is_triangulated(G: GraphView) -> tuple[bool, Vertex | None]:
     return True, None
 
 
-def common_neighbor(G: GraphView, u: Vertex, v: Vertex) -> Vertex | None:
-    rest = G.full_mask & ~(u.mask | v.mask)
-    if rest:
-        return Vertex(rest, 0)
-    return None
-
-
 def orthogonal(G: GraphView, u: Vertex, v: Vertex) -> bool:
     """Adjacent with no common neighbor (the edge is not in any triangle)."""
     G.check_vertex(u)
     G.check_vertex(v)
-    if u == v or u.mask & v.mask != 0:
-        return False
-    return common_neighbor(G, u, v) is None
+    # a common neighbor is any class inside the complement of u | v
+    return u.mask & v.mask == 0 and u.mask | v.mask == G.full_mask
 
 
 # ---------------------------------------------------------------------------

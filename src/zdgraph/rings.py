@@ -15,7 +15,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InputFormatError,
@@ -219,13 +219,6 @@ class Ideal:
         return self.render()
 
 
-class IdealAlgebra(NamedTuple):
-    product: Ideal
-    sum: Ideal
-    left_in_right: bool
-    equal: bool
-
-
 # ---------------------------------------------------------------------------
 # the ring
 
@@ -409,17 +402,15 @@ def _is_prime(p: int) -> bool:
 def build_ring(spec: RingSpec, max_factors: int = DEFAULT_MAX_FACTORS) -> Ring:
     """Build the coordinate form of the ring described by `spec`.
 
-    This is the one place the factor cap is checked, for every kind of
-    spec; a `Ring` built directly is trusted.  Fields and Z_2 are accepted
-    here; graph constructors are where a ring without zero divisors gets
-    rejected.
+    This is the one place the factor count is checked, for every kind of
+    spec; a `Ring` built directly is trusted.  The zero ring (no factors,
+    say a table of size 1) is rejected here.  Fields and Z_2 are accepted;
+    graph constructors are where a ring without zero divisors gets rejected.
     """
     if isinstance(spec, SquarefreeModulus):
         qs = tuple(sorted(factor_squarefree(spec.n)))
         ring = Ring(qs=qs, modulus=spec.n)
     elif isinstance(spec, PrimeFactors):
-        if not spec.primes:
-            raise RingConstructionError("a ring needs at least one prime factor")
         for p in spec.primes:
             if not _is_prime(p):
                 raise RingConstructionError(f"factor {p} is not prime")
@@ -430,6 +421,8 @@ def build_ring(spec: RingSpec, max_factors: int = DEFAULT_MAX_FACTORS) -> Ring:
         ring = decompose_table_ring(spec)
     else:
         raise RingConstructionError(f"unsupported ring specification {spec!r}")
+    if ring.k == 0:
+        raise RingConstructionError("a ring needs at least one prime factor; the zero ring has none")
     if ring.k > max_factors:
         raise TooManyFactors(ring.k, max_factors)
     return ring
@@ -444,35 +437,14 @@ def annihilator_element(ring: Ring, a: Element) -> Ideal:
     return Ideal(ring.full_mask & ~a.support_mask)
 
 
-def annihilator_ideal(ring: Ring, ideal: Ideal) -> Ideal:
-    return Ideal(ring.full_mask & ~ideal.mask)
-
-
-def principal_ideal(ring: Ring, a: Element) -> Ideal:
-    """(a): for a product of fields this is everything supported inside supp(a)."""
-    return Ideal(a.support_mask)
-
-
-def ideal_kind(ring: Ring, ideal: Ideal) -> str:
-    m = ideal.mask
-    if m == 0:
-        return "zero"
-    if m == ring.full_mask:
-        return "improper"
-    return "annihilating"
-
-
-def is_annihilating(ring: Ring, ideal: Ideal) -> bool:
-    return ideal_kind(ring, ideal) == "annihilating"
-
-
 def enumerate_ideals(ring: Ring) -> list[Ideal]:
     """All 2^k ideals in mask order: the zero ideal first, the whole ring last."""
     return [Ideal(m) for m in range(1 << ring.k)]
 
 
 def annihilating_ideals(ring: Ring) -> list[Ideal]:
-    return [I for I in enumerate_ideals(ring) if is_annihilating(ring, I)]
+    """The ideals other than 0 and R, in mask order: each has a nonzero annihilator."""
+    return [Ideal(m) for m in range(1, ring.full_mask)]
 
 
 def ideal_product(ring: Ring, a: Ideal, b: Ideal) -> Ideal:
@@ -480,21 +452,8 @@ def ideal_product(ring: Ring, a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.mask & b.mask)
 
 
-def ideal_sum(ring: Ring, a: Ideal, b: Ideal) -> Ideal:
-    return Ideal(a.mask | b.mask)
-
-
 def ideal_contains(outer: Ideal, inner: Ideal) -> bool:
     return inner.mask & ~outer.mask == 0
-
-
-def ideal_algebra(ring: Ring, a: Ideal, b: Ideal) -> IdealAlgebra:
-    return IdealAlgebra(
-        product=ideal_product(ring, a, b),
-        sum=ideal_sum(ring, a, b),
-        left_in_right=ideal_contains(b, a),
-        equal=a.mask == b.mask,
-    )
 
 
 def elements_of_ideal(ring: Ring, ideal: Ideal) -> list[Element]:

@@ -92,10 +92,6 @@ def min_primes(ring: Ring) -> list[MinPrime]:
     return [MinPrime(i, Ideal(full & ~(1 << i))) for i in range(ring.k)]
 
 
-def whole_space(ring: Ring) -> TopSet:
-    return TopSet(ring.full_mask, ring.k)
-
-
 def cozero_set(ring: Ring, x: Element | Ideal) -> TopSet:
     """h^c(x): the primes that miss x, i.e. P_i with x_i != 0."""
     support = x.support_mask if isinstance(x, Element) else x.mask
@@ -129,16 +125,6 @@ def interior(ring: Ring, a: TopSet) -> TopSet:
         if b.is_subset(a):
             out |= b.mask
     return TopSet(out, ring.k)
-
-
-def closure(ring: Ring, a: TopSet) -> TopSet:
-    full = ring.full_mask
-    inner = interior(ring, TopSet(full & ~a.mask, ring.k))
-    return TopSet(full & ~inner.mask, ring.k)
-
-
-def is_dense(ring: Ring, a: TopSet) -> bool:
-    return closure(ring, a).mask == ring.full_mask
 
 
 def is_singleton(a: TopSet) -> bool:
@@ -194,10 +180,6 @@ def sz_closure(ring: Ring, ideal: Ideal) -> Ideal:
     verification suite rather than assumed here.
     """
     return kernel(ring, zero_set(ring, ideal))
-
-
-def is_sz_ideal(ring: Ring, ideal: Ideal) -> bool:
-    return sz_closure(ring, ideal) == ideal
 
 
 @dataclass(frozen=True)

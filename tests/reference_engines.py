@@ -5,7 +5,8 @@ as it was before domination kept its state in two class bitsets and before
 sampling grouped plain mask pairs.  The only edits: `G.adjacency()` and
 `class_index(G, mask)`, which the package no longer has, are the local
 `adjacency(G)`, built here by a plain disjointness scan, and
-`class_index(G, mask)`.
+`class_index(G, mask)`.  The `IsolatedVertex` that `domination` raises is
+defined here too: the package never raises it and no longer has it.
 
 `elements`, `elements_with_support` and `elements_of_ideal` are the
 odometer and recursive element walks the package used before it walked
@@ -42,12 +43,12 @@ from zdgraph.errors import (
     FactorNotField,
     NoAnnihilatingIdeals,
     FactorNotPrimeField,
-    IsolatedVertex,
     NotAdditiveGroup,
     NotCommutative,
     NotReduced,
     NotUnital,
     TooManyElements,
+    ZdgraphError,
 )
 from zdgraph.graphs import (
     DOMINATION_NODE_BUDGET,
@@ -72,6 +73,14 @@ from zdgraph.rings import (
 from zdgraph.spectrum import sz_closure
 from zdgraph.tables import _find_zero
 from zdgraph.verify import _rec, _wit
+
+
+class IsolatedVertex(ZdgraphError):
+    """Total domination is undefined when some vertex has no neighbor."""
+
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__(f"vertex {witness} has no neighbor")
 
 
 @functools.cache

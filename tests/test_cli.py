@@ -191,6 +191,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--table", str(path), "--seed", "7")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["inspect", "verify"])
+    def test_zero_ring_table_is_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "z1.json"
+        path.write_text(json.dumps(table_to_json(zn_tables(1))))
+        code, out, err = run(capsys, command, "--table", str(path))
+        assert code == EXIT_INPUT
+        assert "zero ring" in err
+        assert "Traceback" not in err and out == ""
+
     def test_garbage_table_file(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")

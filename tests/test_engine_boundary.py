@@ -8,23 +8,33 @@ rejects both.
 It also rejects import cycles among the package's modules, counting the
 imports inside functions, which Python resolves only when they run.
 
-Last, it keeps the graph engine and the topology layer apart.  `graphs`
+It keeps the graph engine and the topology layer apart.  `graphs`
 supplies the oracles (class BFS, path searches, exact domination) and
 `spectrum` the predictions (closures and kernels over Min(R)); a
 prediction that reused an oracle's code would no longer check it.  So
 neither module imports the other, inside a function or not, and the
 arithmetic they share comes from `rings`.
+
+Last, it keeps the public surface to what something reaches.  Every
+function and class that `zdgraph` exports is used by the package's own
+code, imported by the acceptance tests, or shown in the README's Library
+section; an export that none of them reaches is dead code with a test
+keeping it alive.
 """
 
 import ast
+import inspect
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 import oracles
+import zdgraph
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zdgraph"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "zdgraph"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ORACLE_NAMES = frozenset(
     {
@@ -168,3 +178,52 @@ def test_graphs_and_spectrum_share_only_rings():
     assert "spectrum" not in graph["graphs"]
     assert "graphs" not in graph["spectrum"]
     assert "rings" in graph["graphs"] & graph["spectrum"]
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """The names a file reads, as a plain name or as an attribute; definitions and imports do not count."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _library_section_names() -> set[str]:
+    """Every identifier in the code of the README's Library section: fenced blocks and `spans`."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.findall(r"```.*?```|`[^`\n]+`", section, re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def _acceptance_imports() -> set[str]:
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "zdgraph"
+        for alias in node.names
+    }
+
+
+def test_used_names_skip_definitions_and_imports():
+    source = "from .rings import a\ndef b(): pass\nclass C: pass\nd = 1\nd.e(f)\n"
+    assert _used_names(ast.parse(source)) == {"d", "e", "f"}
+
+
+def test_every_export_is_reached():
+    used = set()
+    for path in MODULES:
+        if path.name != "__init__.py":
+            used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
+    reached = used | _acceptance_imports() | _library_section_names()
+    exported = [
+        name
+        for name in zdgraph.__all__
+        if inspect.isfunction(getattr(zdgraph, name)) or inspect.isclass(getattr(zdgraph, name))
+    ]
+    assert len(exported) > 50
+    assert sorted(set(exported) - reached) == []

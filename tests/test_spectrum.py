@@ -8,12 +8,9 @@ from zdgraph import (
     TopSet,
     bourbaki_primes,
     build_ring,
-    closure,
     cozero_set,
     fixed_place_status,
     interior,
-    is_dense,
-    is_sz_ideal,
     kernel,
     maximal_annihilating,
     min_primes,
@@ -22,7 +19,7 @@ from zdgraph import (
     zero_set,
 )
 from zdgraph.rings import annihilator_element, enumerate_ideals
-from zdgraph.spectrum import base_open_sets, is_isolated_point, is_singleton, whole_space
+from zdgraph.spectrum import base_open_sets, is_isolated_point, is_singleton
 
 
 def test_min_primes_are_coordinate_vanishing(z30):
@@ -53,15 +50,11 @@ def test_zero_set_relative_to_subspace(z30):
 
 
 def test_topology_is_discrete(z30):
-    # every subset is a base open set, so interior and closure are trivial
-    space = whole_space(z30)
+    # every subset is a base open set, so interiors are trivial
     opens = {o.members for o in base_open_sets(z30)}
     assert frozenset({0}) in opens and frozenset({0, 2}) in opens
     a = TopSet(0b110, 3)
     assert interior(z30, a).members == a.members
-    assert closure(z30, a).members == a.members
-    assert is_dense(z30, space)
-    assert not is_dense(z30, a)
     for i in range(3):
         assert is_isolated_point(z30, i)
 
@@ -76,7 +69,7 @@ def test_kernel_is_support_complement(z30):
     a = TopSet(0b101, 3)  # hull of these two primes
     assert kernel(z30, a) == Ideal(0b010)
     assert kernel(z30, TopSet(0, 3)) == Ideal(0b111)
-    assert kernel(z30, whole_space(z30)) == Ideal(0)
+    assert kernel(z30, TopSet(0b111, 3)) == Ideal(0)
 
 
 def test_bourbaki_primes_and_witnesses(z30):
@@ -105,7 +98,6 @@ def test_fixed_place_for_fields():
 def test_sz_closure_is_identity(z30):
     for ideal in enumerate_ideals(z30):
         assert sz_closure(z30, ideal) == ideal
-        assert is_sz_ideal(z30, ideal)
 
 
 def test_maximal_annihilating_are_min_primes(z30):

@@ -73,6 +73,12 @@ class TestRegistry:
             ({"check_id": "radius.gamma", "applies": {"has_factor2": True}, "reason": "r"}, "'has_factor2'"),
             ({"check_id": "radius.gamma", "apply": {"k": 2}, "reason": "r"}, "'apply'"),
             ({"check_id": "radius.gamma", "applies": {"k": True}, "reason": "r"}, "'applies.k'"),
+            # a non-string id would be coerced to one that matches nothing
+            ({"check_id": None, "reason": ["x"]}, "'check_id'"),
+            ({"check_id": 5, "reason": "r"}, "'check_id'"),
+            ({"check_id": "", "reason": "r"}, "'check_id'"),
+            ({"check_id": "radius.gamma", "reason": ["x"]}, "'reason'"),
+            ({"check_id": "radius.gamma", "reason": ""}, "'reason'"),
         ):
             path.write_text(json.dumps({"format": 1, "entries": [entry]}))
             with pytest.raises(InputFormatError, match=key):
