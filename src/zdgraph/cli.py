@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .corpus import squarefree_moduli
@@ -262,6 +263,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             moduli = [int(part) for part in args.moduli.split(",") if part.strip()]
         except ValueError:
             raise InputFormatError(f"--moduli expects comma-separated integers, got {args.moduli!r}")
+        repeated = sorted(n for n, times in Counter(moduli).items() if times > 1)
+        if repeated:
+            # each modulus has one report file, so a repeat would overwrite it and count twice
+            raise InputFormatError(f"--moduli repeats {', '.join(map(str, repeated))}")
     if not moduli:
         given = "--moduli" if args.squarefree_below is None else f"--squarefree-below {args.squarefree_below}"
         raise InputFormatError(f"{given} leaves no modulus to verify")

@@ -174,7 +174,7 @@ RingSpec = SquarefreeModulus | PrimeFactors | TableRing
 # elements and ideals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """A ring element as a coordinate tuple, with an optional original label.
 
@@ -237,6 +237,7 @@ class Ring:
     modulus: int | None = None
     table_iso: tuple[tuple[int, ...], ...] | None = None
     _crt_basis: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _zero: Element = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # basis[i] = (n/qi) * inverse(n/qi mod qi), so coords map back by a dot product
@@ -245,6 +246,7 @@ class Ring:
             raise ValueError(f"modulus {n} is not the product of the factors {self.qs}")
         basis = () if n is None else tuple(n // q * pow(n // q, -1, q) % n for q in self.qs)
         object.__setattr__(self, "_crt_basis", basis)
+        object.__setattr__(self, "_zero", Element((0,) * len(self.qs), None if n is None else 0))
 
     @property
     def k(self) -> int:
@@ -276,7 +278,7 @@ class Ring:
         return Element(coords, self._label_for(coords))
 
     def zero(self) -> Element:
-        return self.element((0,) * self.k)
+        return self._zero
 
     def one(self) -> Element:
         return self.element((1,) * self.k)
@@ -327,6 +329,10 @@ class Ring:
         if not len(a.coords) == len(b.coords) == len(self.qs):
             raise self._length_error(a.coords, b.coords)
         coords = tuple(map(operator.mod, map(operator.mul, a.coords, b.coords), self.qs))
+        if not any(coords):
+            # disjoint supports, most of the ideal product scan; by CRT the
+            # labelled product is 0 too, which is the shared zero's label
+            return self._zero
         n = self.modulus
         if n is None or a.label is None or b.label is None:
             return Element(coords, self._label_for(coords))
@@ -354,12 +360,25 @@ class Ring:
         """Every element in lex order, last coordinate fastest."""
         if self.size > ELEMENT_CAP:
             raise TooManyElements(self.size, ELEMENT_CAP)
-        yield from map(self.element, itertools.product(*map(range, self.qs)))
+        yield from self._walk([range(q) for q in self.qs])
 
     def elements_with_support(self, support_mask: int) -> Iterator[Element]:
         """All elements whose support is exactly the given mask, in lex order."""
-        ranges = (range(1, q) if support_mask >> i & 1 else (0,) for i, q in enumerate(self.qs))
-        yield from map(self.element, itertools.product(*ranges))
+        yield from self._walk([range(1, q) if support_mask >> i & 1 else (0,) for i, q in enumerate(self.qs)])
+
+    def _walk(self, ranges: list) -> Iterator[Element]:
+        """The elements with coordinate i in ranges[i] (reduced residues), in lex order.
+
+        A label is the CRT sum of one term per coordinate, so the terms are
+        computed once per residue and each label is a sum of k of them.
+        """
+        coords = itertools.product(*ranges)
+        n = self.modulus
+        if n is None:
+            return map(Element, coords)
+        parts = [[c * b % n for c in r] for r, b in zip(ranges, self._crt_basis)]
+        labels = (s % n for s in map(sum, itertools.product(*parts)))
+        return map(Element, coords, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -461,5 +480,4 @@ def elements_of_ideal(ring: Ring, ideal: Ideal) -> list[Element]:
     size = math.prod(ring.qs[i] for i in iter_bits(ideal.mask))
     if size > ELEMENT_CAP:
         raise TooManyElements(size, ELEMENT_CAP)
-    ranges = (range(q) if ideal.mask >> i & 1 else (0,) for i, q in enumerate(ring.qs))
-    return list(map(ring.element, itertools.product(*ranges)))
+    return list(ring._walk([range(q) if ideal.mask >> i & 1 else (0,) for i, q in enumerate(ring.qs)]))

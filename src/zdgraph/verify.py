@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,6 +39,7 @@ from .graphs import (
     radius,
     vertex_element,
 )
+from .pairs import pair_groups
 from .rings import (
     Ideal,
     Ring,
@@ -176,9 +178,16 @@ def _ring_name(descriptor: dict) -> str:
 # ---------------------------------------------------------------------------
 # sampling
 
-# checks are constant on classes, so sampling keeps every combination of
-# support sizes, overlap size, covering-or-not, and same-class-or-not, and
-# caps only the count of interchangeable pairs inside each such signature
+# Checks are constant on classes, so sampling keeps every combination of
+# support sizes, overlap size, covering-or-not and same-class-or-not, and
+# caps only the count of interchangeable pairs inside each such signature.
+#
+# The ~2^(2k-1) class pairs are never listed.  The pairs of one signature
+# are a `pairs.PairGroup`: a sequence whose length is a closed form and
+# whose j-th item is unranked by an O(k) digit walk, in the order a full
+# pair list had them (ascending first class, then ascending second class).
+# `random.sample` reads only the length and the drawn items, or iterates a
+# small population, so the same seed strings still draw the same pairs.
 
 
 def _sample_classes(G: GraphView, seed: int, suite: str, cap: int) -> list[int]:
@@ -195,21 +204,27 @@ def _sample_classes(G: GraphView, seed: int, suite: str, cap: int) -> list[int]:
     return chosen
 
 
+def _pair_population(G: GraphView, include_same_class: bool) -> dict[tuple, Sequence[tuple[int, int]]]:
+    """Signature -> its mask pairs (a, b), |a| <= |b|, in pair-list order.
+
+    A signature is (|a|, |b|, |a & b|, covering, same class); a same-class
+    pair is (m, m), for a class of at least two vertices.
+    """
+    groups: dict[tuple, Sequence[tuple[int, int]]] = dict(pair_groups(G.ring.k))
+    if include_same_class:
+        for m, w in zip(G.classes, G.weights):
+            if w >= 2:
+                n = m.bit_count()
+                groups.setdefault((n, n, n, False, True), []).append((m, m))
+    return groups
+
+
 def _sample_pairs(
     G: GraphView, seed: int, suite: str, cap: int, include_same_class: bool
 ) -> list[tuple[Vertex, Vertex]]:
-    # mask pairs (a, b), a before b by (popcount, mask); a same-class pair is
-    # (m, m), drawn as copies 0 and 1; only the kept pairs become vertices
-    full = G.full_mask
-    pop = [m.bit_count() for m in range(full + 1)]
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    for mi, w in zip(G.classes, G.weights):
-        if include_same_class and w >= 2:
-            n = pop[mi]
-            groups.setdefault((n, n, n, mi == full, True), []).append((mi, mi))
-        for mj in range(mi + 1, full):
-            a, b = (mi, mj) if pop[mi] <= pop[mj] else (mj, mi)
-            groups.setdefault((pop[a], pop[b], pop[a & b], (a | b) == full, False), []).append((a, b))
+    # a same-class pair (m, m) is drawn as copies 0 and 1; only the kept
+    # pairs become vertices
+    groups = _pair_population(G, include_same_class)
     chosen: list[tuple[Vertex, Vertex]] = []
     for sig in sorted(groups, key=repr):
         pairs = groups[sig]

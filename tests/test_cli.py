@@ -340,6 +340,13 @@ class TestBatch:
         assert "--moduli" in err and "Traceback" not in err
         assert out == "" and not out_dir.exists()
 
+    def test_repeated_modulus_is_input_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "reports"
+        code, out, err = run(capsys, "batch", "--moduli", "30,30,6", "--out-dir", str(out_dir))
+        assert code == EXIT_INPUT
+        assert "--moduli repeats 30" in err and "Traceback" not in err
+        assert out == "" and not out_dir.exists()
+
     def test_bad_modulus_writes_no_report(self, capsys, tmp_path):
         out_dir = tmp_path / "reports"
         code, out, err = run(capsys, "batch", "--moduli", "6,36", "--out-dir", str(out_dir))

@@ -5,11 +5,13 @@
 every field included, on every multiset of {2, 3, 5, 7} with k = 2 ... 5,
 with its factors in ascending and in descending order (the order decides
 which coordinates carry the weight-one classes, and so the search path);
-sampling must return equal lists at k <= 8.
+sampling must return equal lists at k <= 8.  The counted pair groups the
+sampler draws from must hold, in order, the pairs a full pair list groups
+under each signature.
 
 The element walks must return equal lists, coordinates and residue labels
-included, for every mask of three small rings and for every ideal of
-Z/510510 with at most 20,000 elements.
+included, for every mask of three small rings and a table ring, and for
+every ideal of Z/510510 with at most 20,000 elements.
 
 Radius and diameter from one BFS per class size must equal the min and
 max of the per-class eccentricities, and maximality by the lattice
@@ -41,9 +43,11 @@ from zdgraph import (
     domination,
     radius,
     retract_check,
+    zn_tables,
 )
 from zdgraph import spectrum, verify
 from zdgraph.graphs import _eccentricities
+from zdgraph.pairs import pair_groups
 from zdgraph.rings import Ideal, elements_of_ideal
 from zdgraph.spectrum import maximal_annihilating
 from zdgraph.verify import Verdict, _sample_pairs
@@ -92,6 +96,48 @@ def test_sampling_matches_pair_list_engine(qs, seeds, caps):
                     assert _sample_pairs(G, seed, suite, cap, same) == expected, (G.kind, seed, cap, same)
 
 
+def _pair_list_groups(G, include_same_class):
+    """Signature -> mask pairs, by listing every class pair."""
+    full = G.full_mask
+    groups = {}
+    for mi, w in zip(G.classes, G.weights):
+        if include_same_class and w >= 2:
+            n = mi.bit_count()
+            groups.setdefault((n, n, n, False, True), []).append((mi, mi))
+        for mj in range(mi + 1, full):
+            a, b = (mi, mj) if mi.bit_count() <= mj.bit_count() else (mj, mi)
+            sig = (a.bit_count(), b.bit_count(), (a & b).bit_count(), a | b == full, False)
+            groups.setdefault(sig, []).append((a, b))
+    return groups
+
+
+COUNTED_RINGS = (
+    (2, 3),
+    (2, 2),
+    (3, 3, 5),
+    (2, 2, 3, 3),
+    (2, 3, 5, 7, 11),
+    (2, 2, 3, 3, 5, 5, 7),
+    (2, 3, 5, 7, 11, 13, 17, 19),
+)
+
+
+@pytest.mark.parametrize("qs", COUNTED_RINGS, ids=["x".join(map(str, qs)) for qs in COUNTED_RINGS])
+def test_counted_groups_hold_the_pair_list(qs):
+    ring = build_ring(PrimeFactors(qs))
+    for G in (build_gamma(ring), build_ag(ring)):
+        for same in (False, True):
+            expected = _pair_list_groups(G, same)
+            got = verify._pair_population(G, same)
+            assert {sig: len(pairs) for sig, pairs in got.items()} == {s: len(p) for s, p in expected.items()}
+            assert {sig: list(pairs) for sig, pairs in got.items()} == expected, (G.kind, same)
+    # the class-pair groups are the same for both graphs: unrank each item once
+    for sig, group in pair_groups(ring.k):
+        assert [group[j] for j in range(len(group))] == list(group), sig
+        with pytest.raises(IndexError):
+            group[len(group)]
+
+
 def _with_labels(elements):
     return [(e.coords, e.label) for e in elements]
 
@@ -107,8 +153,8 @@ def _assert_walks_match(ring, mask):
 
 @pytest.mark.parametrize(
     "spec",
-    [PrimeFactors((2, 3, 5, 7)), PrimeFactors((3, 3, 5)), SquarefreeModulus(210)],
-    ids=["F2xF3xF5xF7", "F3xF3xF5", "Z210"],
+    [PrimeFactors((2, 3, 5, 7)), PrimeFactors((3, 3, 5)), SquarefreeModulus(210), zn_tables(210)],
+    ids=["F2xF3xF5xF7", "F3xF3xF5", "Z210", "table210"],
 )
 def test_element_walks_match_odometer_walks(spec):
     ring = build_ring(spec)

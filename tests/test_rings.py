@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdgraph import (
     Element,
@@ -227,6 +229,44 @@ def test_ideal_product_matches_element_products(z30):
     for x in elements_of_ideal(z30, a):
         for y in elements_of_ideal(z30, b):
             assert z30.mul(x, y) == z30.zero()
+
+
+MUL_RINGS = (
+    [build_ring(SquarefreeModulus(n)) for n in (6, 30, 210, 2310)]
+    + [build_ring(PrimeFactors(qs)) for qs in ((2, 3, 5), (3, 3, 5, 7))]
+    + [build_ring(zn_tables(30))]
+)
+
+
+def _crt_residue(ring, coords):
+    """The label a product should carry: its residue mod n, found by search; None without a modulus."""
+    if ring.modulus is None:
+        return None
+    return next(x for x in range(ring.modulus) if all(x % q == c for q, c in zip(ring.qs, coords)))
+
+
+@st.composite
+def _operand(draw, ring):
+    # zero coordinates half the time, so disjoint supports and zero products are common
+    coords = tuple(draw(st.integers(0, q - 1)) if draw(st.booleans()) else 0 for q in ring.qs)
+    if draw(st.booleans()):
+        return Element(coords)  # built directly, without a label
+    if ring.table_iso is not None:
+        return ring.from_table_index(ring.table_iso.index(coords))
+    return ring.element(coords)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_products_are_coordinatewise_with_the_crt_label(data):
+    ring = data.draw(st.sampled_from(MUL_RINGS))
+    a, b = data.draw(_operand(ring)), data.draw(_operand(ring))
+    product = ring.mul(a, b)
+    coords = tuple(x * y % q for x, y, q in zip(a.coords, b.coords, ring.qs))
+    assert product.coords == coords
+    assert product.label == _crt_residue(ring, coords)
+    assert (product == ring.zero()) == (a.support_mask & b.support_mask == 0)
+    assert ring.zero().label == _crt_residue(ring, (0,) * ring.k)
 
 
 def test_ideal_render_uses_generators_for_moduli(z30):
