@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .errors import NotSquarefree
-from .rings import PrimeFactors, Ring, SquarefreeModulus, build_ring, factor_squarefree
+from .errors import NotSquarefree, RingConstructionError
+from .rings import FACTOR_BOUND, PrimeFactors, Ring, SquarefreeModulus, build_ring, factor_squarefree
 
 # squarefree moduli covering 2 to 4 factors, with and without a factor of 2,
 # plus pure products that no modulus can reach (repeated field sizes)
@@ -28,7 +28,9 @@ def canonical_corpus() -> list[Ring]:
 
 
 def squarefree_moduli(limit: int) -> list[int]:
-    """All squarefree n with 2 <= n < limit, primes included."""
+    """All squarefree n with 2 <= n < limit, primes included; a limit past the bound fails at once."""
+    if limit > FACTOR_BOUND + 1:
+        raise RingConstructionError(f"moduli below {limit} go above the 10^9 factorization bound")
     found = []
     for n in range(2, limit):
         try:

@@ -12,15 +12,9 @@ sequence whose length is a closed form and whose items come in ascending
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
-# `random.sample` lists a population of at most 85 pairs at caps 6 to 21
-# (21 below that), and a group of at most `cap` pairs is taken whole; a
-# group this small keeps the list of its first walk for the other calls at
-# the same k
-_LISTED = 85
 _NOTHING = (0,) * 6
 
 
@@ -46,7 +40,8 @@ class PairGroup(Sequence):
         self._sides = sides
         self._len = sum(_side_size(k, *side) for side in sides)
         self._rows: list | None = None
-        self._listed: list[tuple[int, int]] | None = None
+        # index -> pair, for the later draws of every run at this k
+        self._items: dict[int, tuple[int, int]] = {}
 
     def __len__(self) -> int:
         return self._len
@@ -81,12 +76,16 @@ class PairGroup(Sequence):
             self._rows = [[row + pad if any(row) else _NOTHING for row in level] for level in rows]
         return self._rows
 
-    def __getitem__(self, j: int) -> tuple[int, int]:
-        if j < 0:
-            j += self._len
-        if not 0 <= j < self._len:
-            raise IndexError(j)
+    def __getitem__(self, index: int) -> tuple[int, int]:
+        if index < 0:
+            index += self._len
+        pair = self._items.get(index)
+        if pair is not None:
+            return pair
+        if not 0 <= index < self._len:
+            raise IndexError(index)
         rows = self._walk_rows()
+        j = index
         mi = a = acc1 = acc2 = 0
         for h in range(self._k - 1, -1, -1):
             z1, b1, g1, z2, b2, g2 = rows[h][a]
@@ -98,15 +97,13 @@ class PairGroup(Sequence):
                 j -= s0
                 mi |= 1 << h
                 a += 1
-        return self._pair(mi, j)
-
-    def _side(self, mi: int) -> int:
-        return 0 if mi.bit_count() == self._sides[0][0] else 1
+        pair = self._items[index] = self._pair(mi, j)
+        return pair
 
     def _pair(self, mi: int, j: int) -> tuple[int, int]:
         """The j-th pair whose first class is mi."""
         rows = self._rows
-        side = self._side(mi)
+        side = 0 if mi.bit_count() == self._sides[0][0] else 1
         pi, pj, c = self._sides[side]
         h = 0
         while True:
@@ -132,48 +129,6 @@ class PairGroup(Sequence):
                 else:
                     y -= 1
         return (mi, mj) if pi <= pj else (mj, mi)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        listed = self._walk() if self._listed is None else self._listed
-        if self._len <= _LISTED:
-            self._listed = listed
-        return iter(listed)
-
-    def _walk(self) -> list[tuple[int, int]]:
-        """Every pair, in order, from one depth-first digit walk over mi.
-
-        A prefix of mi is entered only when pairs lie below it.  `highs`
-        lists the bits h where mi is 0 and a side has pairs with their
-        highest difference, as (h, ones of mi above h).
-        """
-        rows = self._walk_rows()
-        out: list[tuple[int, int]] = []
-        stack = [(self._k - 1, 0, 0, 0, 0, self._len, ())]
-        while stack:
-            h, a, mi, acc1, acc2, size, highs = stack.pop()
-            if h >= 0:
-                z1, b1, g1, z2, b2, g2 = rows[h][a]
-                s0 = acc1 * z1 + b1 + acc2 * z2 + b2
-                if size > s0:
-                    stack.append((h - 1, a + 1, mi | 1 << h, acc1, acc2, size - s0, highs))
-                if s0:
-                    stack.append((h - 1, a, mi, acc1 + g1, acc2 + g2, s0, highs + ((h, a),) if g1 or g2 else highs))
-                continue
-            side = self._side(mi)
-            pi, pj, c = self._sides[side]
-            for h, a in reversed(highs):
-                if not rows[h][a][3 * side + 2]:
-                    continue
-                ones = [1 << b for b in range(h) if mi >> b & 1]
-                zeros = [1 << b for b in range(h) if not mi >> b & 1]
-                top = (mi >> h | 1) << h
-                lows = sorted(
-                    sum(o) + sum(z)
-                    for o in itertools.combinations(ones, c - a)
-                    for z in itertools.combinations(zeros, pj - 1 - c)
-                )
-                out += [(mi, top | low) for low in lows] if pi <= pj else [(top | low, mi) for low in lows]
-        return out
 
 
 def _side_size(k: int, pi: int, pj: int, c: int) -> int:

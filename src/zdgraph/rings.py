@@ -27,6 +27,8 @@ from .errors import (
 
 DEFAULT_MAX_FACTORS = 20
 ELEMENT_CAP = 10**6
+# the largest modulus or prime factor accepted, at most ~16,000 trial divisions
+FACTOR_BOUND = 10**9
 
 
 def env_int(name: str, default: int) -> int:
@@ -389,7 +391,7 @@ def factor_squarefree(n: int) -> list[int]:
     """Trial-division factorization, insisting on squarefreeness."""
     if n < 2:
         raise RingConstructionError(f"modulus must be at least 2, got {n}")
-    if n > 10**9:
+    if n > FACTOR_BOUND:
         raise RingConstructionError(f"modulus {n} is above the 10^9 factorization bound")
     primes = []
     m = n
@@ -431,6 +433,8 @@ def build_ring(spec: RingSpec, max_factors: int = DEFAULT_MAX_FACTORS) -> Ring:
         ring = Ring(qs=qs, modulus=spec.n)
     elif isinstance(spec, PrimeFactors):
         for p in spec.primes:
+            if p > FACTOR_BOUND:
+                raise RingConstructionError(f"factor {p} is above the 10^9 factorization bound")
             if not _is_prime(p):
                 raise RingConstructionError(f"factor {p} is not prime")
         ring = Ring(qs=tuple(spec.primes))

@@ -186,8 +186,17 @@ def _ring_name(descriptor: dict) -> str:
 # are a `pairs.PairGroup`: a sequence whose length is a closed form and
 # whose j-th item is unranked by an O(k) digit walk, in the order a full
 # pair list had them (ascending first class, then ascending second class).
-# `random.sample` reads only the length and the drawn items, or iterates a
-# small population, so the same seed strings still draw the same pairs.
+# `_draw` picks indices from the length alone and reads only those items;
+# `random.sample(population, cap)` picks its indices from `len(population)`
+# the same way, so the seed strings that sampled a pair list draw its pairs.
+
+
+def _draw(population: Sequence, cap: int, key: str) -> list:
+    """`population` in order if it has at most `cap` items, else `cap` of them drawn with seed `key`, sorted."""
+    n = len(population)
+    if n <= cap:
+        return list(population)
+    return sorted(population[j] for j in random.Random(key).sample(range(n), cap))
 
 
 def _sample_classes(G: GraphView, seed: int, suite: str, cap: int) -> list[int]:
@@ -196,11 +205,7 @@ def _sample_classes(G: GraphView, seed: int, suite: str, cap: int) -> list[int]:
         groups.setdefault(m.bit_count(), []).append(m)
     chosen: list[int] = []
     for size in sorted(groups):
-        masks = groups[size]
-        if len(masks) > cap:
-            rng = random.Random(f"{seed}:{suite}:{size}")
-            masks = sorted(rng.sample(masks, cap))
-        chosen.extend(masks)
+        chosen += _draw(groups[size], cap, f"{seed}:{suite}:{size}")
     return chosen
 
 
@@ -227,10 +232,7 @@ def _sample_pairs(
     groups = _pair_population(G, include_same_class)
     chosen: list[tuple[Vertex, Vertex]] = []
     for sig in sorted(groups, key=repr):
-        pairs = groups[sig]
-        if len(pairs) > cap:
-            rng = random.Random(f"{seed}:{suite}:{sig}")
-            pairs = sorted(rng.sample(pairs, cap))
+        pairs = _draw(groups[sig], cap, f"{seed}:{suite}:{sig}")
         chosen.extend((Vertex(a, 0), Vertex(b, int(a == b))) for a, b in pairs)
     return chosen
 

@@ -77,6 +77,12 @@ class TestInspect:
         code, _, err = run(capsys, "inspect", "--fields", "4,3")
         assert code == EXIT_INPUT
 
+    def test_factor_above_the_bound_rejected_at_once(self, capsys):
+        code, out, err = run(capsys, "inspect", "--fields", "2,1000000000000000003")
+        assert code == EXIT_INPUT
+        assert "factor 1000000000000000003 is above the 10^9 factorization bound" in err
+        assert out == "" and "Traceback" not in err
+
     def test_factor_cap_is_resource_error(self, capsys, monkeypatch):
         monkeypatch.setenv("ZDGRAPH_MAX_FACTORS", "2")
         code, _, err = run(capsys, "inspect", "--zn", "30")
@@ -324,6 +330,8 @@ class TestBatch:
             (("--moduli", "6,10", "--suites", "girth,nope"), "unknown suites: nope"),
             (("--squarefree-below", "2"), "--squarefree-below 2"),
             (("--squarefree-below", "0"), "--squarefree-below 0"),
+            # refused before trial-dividing every n up to the bound
+            (("--squarefree-below", "1000000002"), "moduli below 1000000002 go above the 10^9 factorization bound"),
         ],
     )
     def test_rejected_arguments_create_no_out_dir(self, capsys, tmp_path, argv, message):

@@ -20,6 +20,11 @@ function and class that `zdgraph` exports is used by the package's own
 code, imported by the acceptance tests, or shown in the README's Library
 section; an export that none of them reaches is dead code with a test
 keeping it alive.
+
+And it keeps one source of randomness.  Reports must be byte-identical for
+a seed, so the package reaches the `random` module only as one
+`random.Random(key)` in `verify._draw`, which every sampler calls; an
+unseeded draw or a second draw path would fail here.
 """
 
 import ast
@@ -227,3 +232,63 @@ def test_every_export_is_reached():
     ]
     assert len(exported) > 50
     assert sorted(set(exported) - reached) == []
+
+
+def _random_uses(tree: ast.Module) -> list[str]:
+    """Each import of `random` and each use of the name, with the function it is in.
+
+    A call `random.Random(x)` with one argument and no keywords counts as
+    one use, "random.Random(key)"; any other `random` name is a bare use.
+    """
+    out: list[str] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        children = ast.iter_child_nodes(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "random":
+                    renamed = f" as {alias.asname}" if alias.asname else ""
+                    out.append(f"import {alias.name}{renamed} in {scope}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random" and not node.level:
+            out.append(f"from {node.module} import in {scope}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and (node.func.value.id, node.func.attr) == ("random", "Random")
+            and len(node.args) == 1
+            and not node.keywords
+        ):
+            out.append(f"random.Random(key) in {scope}")
+            children = node.args
+        elif isinstance(node, ast.Name) and node.id == "random":
+            out.append(f"random in {scope}")
+        for child in children:
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_random_uses_finder():
+    source = (
+        "import random\nimport random as r\nfrom random import choice\n"
+        "def f(k):\n    return random.Random(k), random.Random(), random.sample(k, 2)\n"
+    )
+    assert _random_uses(ast.parse(source)) == [
+        "import random in <module>",
+        "import random as r in <module>",
+        "from random import in <module>",
+        "random.Random(key) in f",
+        "random in f",
+        "random in f",
+    ]
+
+
+def test_randomness_is_one_seeded_generator_in_draw():
+    uses = {path.name: _random_uses(ast.parse(path.read_text(encoding="utf-8"))) for path in MODULES}
+    assert {name: found for name, found in uses.items() if found} == {
+        "verify.py": ["import random in <module>", "random.Random(key) in _draw"]
+    }

@@ -47,7 +47,7 @@ from zdgraph import (
 )
 from zdgraph import spectrum, verify
 from zdgraph.graphs import _eccentricities
-from zdgraph.pairs import pair_groups
+from zdgraph.pairs import PairGroup, pair_groups
 from zdgraph.rings import Ideal, elements_of_ideal
 from zdgraph.spectrum import maximal_annihilating
 from zdgraph.verify import Verdict, _sample_pairs
@@ -68,6 +68,12 @@ def test_domination_matches_index_engine(k):
                 assert domination(G, total) == reference_engines.domination(G, total), (qs, G.kind, total)
 
 
+# `random.sample` copies a population of at most 21 items below cap 6, 85 at
+# caps 6-21, 277 at 22-85 and 1045 at 86-341, and draws from a larger one
+# through a set.  At k = 5 and 6 (groups of 5 to 180 pairs) caps 7, 22 and 90
+# reach both branches at the larger sizes, and cap 90 takes most groups whole.
+WIDE_CAPS = (*range(1, 7), 7, 22, 90)
+
 # (factors, seeds, caps): the full grid up to k = 6, a thinner one at k = 7 and 8
 SAMPLING_PLAN = (
     ((2, 3), (0, 1, 7), range(1, 7)),
@@ -75,8 +81,8 @@ SAMPLING_PLAN = (
     ((2, 2, 3), (0, 1, 7), range(1, 7)),
     ((2, 2, 2, 2), (0, 1, 7), range(1, 7)),
     ((3, 3, 5, 5), (0, 1, 7), range(1, 7)),
-    ((2, 3, 5, 7, 11), (0, 1, 7), range(1, 7)),
-    ((2, 2, 3, 3, 5, 5), (0, 1, 7), range(1, 7)),
+    ((2, 3, 5, 7, 11), (0, 1, 7), WIDE_CAPS),
+    ((2, 2, 3, 3, 5, 5), (0, 1, 7), WIDE_CAPS),
     ((2, 3, 5, 7, 11, 13, 17), (0, 1), (1, 3, 6)),
     ((2, 2, 3, 3, 5, 5, 7, 7), (0, 7), (1, 6)),
 )
@@ -131,11 +137,16 @@ def test_counted_groups_hold_the_pair_list(qs):
             got = verify._pair_population(G, same)
             assert {sig: len(pairs) for sig, pairs in got.items()} == {s: len(p) for s, p in expected.items()}
             assert {sig: list(pairs) for sig, pairs in got.items()} == expected, (G.kind, same)
-    # the class-pair groups are the same for both graphs: unrank each item once
+    # the groups above now hold every item in their memo; a fresh group
+    # unranks each item once, last index first, and must agree with them
     for sig, group in pair_groups(ring.k):
-        assert [group[j] for j in range(len(group))] == list(group), sig
-        with pytest.raises(IndexError):
-            group[len(group)]
+        n = len(group)
+        fresh = PairGroup(ring.k, group._sides)
+        assert [fresh[j] for j in reversed(range(n))] == list(group)[::-1], sig
+        assert group[-1] == fresh[-1] == group[n - 1]
+        for j in (n, -n - 1):
+            with pytest.raises(IndexError):
+                group[j]
 
 
 def _with_labels(elements):

@@ -21,7 +21,8 @@ from zdgraph import (
     ideal_product,
     zn_tables,
 )
-from zdgraph.rings import elements_of_ideal, indices_of, mask_of, render_support, subset_products
+from zdgraph.corpus import squarefree_moduli
+from zdgraph.rings import FACTOR_BOUND, elements_of_ideal, indices_of, mask_of, render_support, subset_products
 
 
 def test_factor_squarefree_basics():
@@ -68,6 +69,21 @@ def test_build_from_primes():
         build_ring(PrimeFactors((4,)))
     with pytest.raises(RingConstructionError):
         build_ring(PrimeFactors(()))
+
+
+def test_factors_above_the_bound_are_rejected_before_trial_division():
+    # trial division of a prime near 10^18 would take ~5 * 10^8 steps
+    above = (PrimeFactors((2, 10**18 + 3)), PrimeFactors((FACTOR_BOUND + 1,)), SquarefreeModulus(FACTOR_BOUND + 1))
+    for spec in above:
+        with pytest.raises(RingConstructionError, match=r"10\^9 factorization bound"):
+            build_ring(spec)
+    with pytest.raises(RingConstructionError, match="not prime"):
+        build_ring(PrimeFactors((FACTOR_BOUND,)))
+    # the largest prime below the bound
+    assert build_ring(PrimeFactors((2, 999_999_937))).qs == (2, 999_999_937)
+    # every modulus below the limit must be under the bound, and the limit is checked first
+    with pytest.raises(RingConstructionError, match=r"10\^9 factorization bound"):
+        squarefree_moduli(FACTOR_BOUND + 2)
 
 
 def test_zero_ring_is_rejected():
