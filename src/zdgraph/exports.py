@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from pathlib import Path
@@ -81,6 +82,9 @@ def graph_to_dot(G: GraphView, compressed: bool = True) -> str:
 def write_bytes_atomic(path: str | Path, data: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a torn file."""
     target = Path(path)
+    if target.is_dir():
+        # checked first: the sibling of a path such as "out/" lies outside it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)

@@ -53,6 +53,8 @@ class GraphView:
     """A compressed graph: classes are support masks, adjacency is disjointness.
 
     The classes are the masks 1 .. full - 1 in order, so class i has mask i + 1.
+    Both graphs are Γ of a product of fields of the given `sizes`: the ring's
+    own for Γ, and F_2^k for 𝔸𝔾, whose vertex on a support is its one ideal.
     """
 
     def __init__(self, kind: str, ring: Ring):
@@ -64,11 +66,9 @@ class GraphView:
         self.ring = ring
         full = ring.full_mask
         self.classes: tuple[int, ...] = tuple(range(1, full))
-        if kind == GAMMA:
-            # the class of mask m has prod(q_i - 1) elements over the bits i of m
-            self.weights: tuple[int, ...] = tuple(subset_products([q - 1 for q in ring.qs])[1:-1])
-        else:
-            self.weights = (1,) * len(self.classes)
+        self.sizes: tuple[int, ...] = ring.qs if kind == GAMMA else (2,) * ring.k
+        # the class of mask m has prod(q_i - 1) elements over the bits i of m
+        self.weights: tuple[int, ...] = tuple(subset_products([q - 1 for q in self.sizes])[1:-1])
 
     @property
     def full_mask(self) -> int:
@@ -86,18 +86,12 @@ class GraphView:
         # reach[s] counts the elements (ideals) supported inside s, zero
         # included, and class m reaches inside full - m, so its degree is
         # reach[full - m] - 1; the classes are m = 1 .. full - 1 in order
-        reach = subset_products(self.ring.qs if self.kind == GAMMA else (2,) * self.ring.k)
+        reach = subset_products(self.sizes)
         return (sum(map(operator.mul, self.weights, reach[-2:0:-1])) - self.vertex_count()) // 2
 
     def degree_of_mask(self, mask: int) -> int:
         """Number of neighbors: everything supported inside the complement."""
-        comp = self.full_mask & ~mask
-        if self.kind == GAMMA:
-            prod = 1
-            for i in iter_bits(comp):
-                prod *= self.ring.qs[i]
-            return prod - 1
-        return (1 << bin(comp).count("1")) - 1
+        return math.prod(self.sizes[i] for i in iter_bits(self.full_mask & ~mask)) - 1
 
     def vertices(self) -> Iterator[Vertex]:
         for m, w in zip(self.classes, self.weights):
@@ -125,7 +119,7 @@ def gamma_vertex(ring: Ring, a: Element) -> Vertex:
     """Locate a zero divisor in the compressed graph without enumerating it."""
     mask = a.support_mask
     if mask == 0 or mask == ring.full_mask:
-        raise ValueError(f"{a} is not a nonzero zero divisor")
+        raise ValueError(f"{ring.label(a)} is not a nonzero zero divisor")
     rank = 0
     for i in iter_bits(mask):
         rank = rank * (ring.qs[i] - 1) + (a.coords[i] - 1)
@@ -145,7 +139,7 @@ def vertex_element(ring: Ring, v: Vertex) -> Element:
 
 def vertex_label(G: GraphView, v: Vertex) -> str:
     if G.kind == GAMMA:
-        return str(vertex_element(G.ring, v))
+        return G.ring.label(vertex_element(G.ring, v))
     return Ideal(v.mask).render(G.ring)
 
 

@@ -49,20 +49,8 @@ def env_int(name: str, default: int) -> int:
 # support masks
 #
 # A support is a bitmask int: bit i set means coordinate i (0-based) may be
-# nonzero.  Ideals, subsets of Min(R) and graph classes all carry masks; the
-# frozenset views exist only for the public `support`/`members` properties.
+# nonzero.  Ideals, subsets of Min(R) and graph classes all carry masks.
 # Rendering is 1-based to match the usual I_{1,3} notation.
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
-def indices_of(mask: int) -> frozenset[int]:
-    return frozenset(iter_bits(mask))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -178,26 +166,15 @@ RingSpec = SquarefreeModulus | PrimeFactors | TableRing
 
 @dataclass(frozen=True, slots=True)
 class Element:
-    """A ring element as a coordinate tuple, with an optional original label.
-
-    The label is the residue for Z_n rings or the table index for table
-    rings; it only affects rendering.
-    """
+    """A ring element as its coordinate tuple; `Ring.label` renders it."""
 
     coords: tuple[int, ...]
-    label: int | None = field(default=None, compare=False)
-
-    @property
-    def support(self) -> frozenset[int]:
-        return indices_of(self.support_mask)
 
     @property
     def support_mask(self) -> int:
-        return mask_of(i for i, c in enumerate(self.coords) if c != 0)
+        return sum(1 << i for i, c in enumerate(self.coords) if c)
 
     def __str__(self) -> str:
-        if self.label is not None:
-            return str(self.label)
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
@@ -206,10 +183,6 @@ class Ideal:
     """An ideal of a product of fields: all elements supported inside `mask`."""
 
     mask: int
-
-    @property
-    def support(self) -> frozenset[int]:
-        return indices_of(self.mask)
 
     def render(self, ring: "Ring | None" = None) -> str:
         if ring is not None and ring.modulus is not None:
@@ -230,8 +203,8 @@ class Ring:
     """A product of prime fields F_q1 x ... x F_qk.
 
     `modulus` is set when the ring came from a squarefree Z_n, in which case
-    it must be the product of `qs` and elements round-trip to residues by
-    CRT.  `table_iso` maps table indices to coordinate tuples when the ring
+    it must be the product of `qs` and `label` renders elements as residues
+    by CRT.  `table_iso` maps table indices to coordinate tuples when the ring
     came from tables.
     """
 
@@ -248,7 +221,7 @@ class Ring:
             raise ValueError(f"modulus {n} is not the product of the factors {self.qs}")
         basis = () if n is None else tuple(n // q * pow(n // q, -1, q) % n for q in self.qs)
         object.__setattr__(self, "_crt_basis", basis)
-        object.__setattr__(self, "_zero", Element((0,) * len(self.qs), None if n is None else 0))
+        object.__setattr__(self, "_zero", Element((0,) * len(self.qs)))
 
     @property
     def k(self) -> int:
@@ -262,10 +235,6 @@ class Ring:
     def full_mask(self) -> int:
         return (1 << self.k) - 1
 
-    @property
-    def is_field(self) -> bool:
-        return self.k == 1
-
     def describe(self) -> dict:
         """Canonical JSON-able descriptor; identical for isomorphic inputs."""
         return {"kind": "product-of-prime-fields", "factors": list(self.qs)}
@@ -276,14 +245,10 @@ class Ring:
         coords = tuple(coords)
         if len(coords) != len(self.qs):
             raise self._length_error(coords)
-        coords = tuple(map(operator.mod, coords, self.qs))
-        return Element(coords, self._label_for(coords))
+        return Element(tuple(map(operator.mod, coords, self.qs)))
 
     def zero(self) -> Element:
         return self._zero
-
-    def one(self) -> Element:
-        return self.element((1,) * self.k)
 
     def idempotent(self, i: int) -> Element:
         """e_i: the element with 1 in coordinate i and 0 elsewhere."""
@@ -296,91 +261,28 @@ class Ring:
         x %= self.modulus
         return self.element(tuple(x % q for q in self.qs))
 
-    def from_table_index(self, idx: int) -> Element:
-        if self.table_iso is None:
-            raise ValueError("ring was not built from tables")
-        coords = self.table_iso[idx]
-        return Element(coords, idx)
-
-    def _label_for(self, coords: tuple[int, ...]) -> int | None:
+    def label(self, a: Element) -> str:
+        """How `a` prints: its residue for a ring built from a modulus, else its coordinates."""
         if self.modulus is None:
-            return None
-        basis = self._crt_basis
-        return sum(c * b for c, b in zip(coords, basis)) % self.modulus
+            return str(a)
+        return str(sum(map(operator.mul, a.coords, self._crt_basis)) % self.modulus)
 
     def _length_error(self, *coord_tuples: tuple[int, ...]) -> ValueError:
         got = ", ".join(str(len(coords)) for coords in coord_tuples)
         return ValueError(f"expected {len(self.qs)} coordinates, got {got}")
 
     # -- arithmetic ------------------------------------------------------------
-    #
-    # The CRT map is a ring isomorphism, so in a ring built from a modulus the
-    # residue label of a result is the same operation on the operands' labels;
-    # the k-term CRT sum is only the fallback for operands without a label.
-
-    def add(self, a: Element, b: Element) -> Element:
-        if not len(a.coords) == len(b.coords) == len(self.qs):
-            raise self._length_error(a.coords, b.coords)
-        coords = tuple(map(operator.mod, map(operator.add, a.coords, b.coords), self.qs))
-        n = self.modulus
-        if n is None or a.label is None or b.label is None:
-            return Element(coords, self._label_for(coords))
-        return Element(coords, (a.label + b.label) % n)
 
     def mul(self, a: Element, b: Element) -> Element:
         if not len(a.coords) == len(b.coords) == len(self.qs):
             raise self._length_error(a.coords, b.coords)
         coords = tuple(map(operator.mod, map(operator.mul, a.coords, b.coords), self.qs))
-        if not any(coords):
-            # disjoint supports, most of the ideal product scan; by CRT the
-            # labelled product is 0 too, which is the shared zero's label
-            return self._zero
-        n = self.modulus
-        if n is None or a.label is None or b.label is None:
-            return Element(coords, self._label_for(coords))
-        return Element(coords, a.label * b.label % n)
-
-    def neg(self, a: Element) -> Element:
-        if len(a.coords) != len(self.qs):
-            raise self._length_error(a.coords)
-        coords = tuple(map(operator.mod, map(operator.neg, a.coords), self.qs))
-        n = self.modulus
-        if n is None or a.label is None:
-            return Element(coords, self._label_for(coords))
-        return Element(coords, -a.label % n)
-
-    def is_zero_divisor(self, a: Element) -> bool:
-        """Zero divisors include 0: everything with a nonzero annihilator."""
-        return a.support_mask != self.full_mask
-
-    def is_unit(self, a: Element) -> bool:
-        return a.support_mask == self.full_mask
-
-    # -- enumeration -----------------------------------------------------------
-
-    def elements(self) -> Iterator[Element]:
-        """Every element in lex order, last coordinate fastest."""
-        if self.size > ELEMENT_CAP:
-            raise TooManyElements(self.size, ELEMENT_CAP)
-        yield from self._walk([range(q) for q in self.qs])
-
-    def elements_with_support(self, support_mask: int) -> Iterator[Element]:
-        """All elements whose support is exactly the given mask, in lex order."""
-        yield from self._walk([range(1, q) if support_mask >> i & 1 else (0,) for i, q in enumerate(self.qs)])
+        # disjoint supports, most of the ideal product scan, share one zero
+        return Element(coords) if any(coords) else self._zero
 
     def _walk(self, ranges: list) -> Iterator[Element]:
-        """The elements with coordinate i in ranges[i] (reduced residues), in lex order.
-
-        A label is the CRT sum of one term per coordinate, so the terms are
-        computed once per residue and each label is a sum of k of them.
-        """
-        coords = itertools.product(*ranges)
-        n = self.modulus
-        if n is None:
-            return map(Element, coords)
-        parts = [[c * b % n for c in r] for r, b in zip(ranges, self._crt_basis)]
-        labels = (s % n for s in map(sum, itertools.product(*parts)))
-        return map(Element, coords, labels)
+        """The elements with coordinate i in ranges[i] (reduced residues), in lex order."""
+        return map(Element, itertools.product(*ranges))
 
 
 # ---------------------------------------------------------------------------

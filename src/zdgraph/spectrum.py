@@ -23,7 +23,6 @@ from .rings import (
     _lowest,
     annihilating_ideals,
     annihilator_element,
-    indices_of,
     iter_bits,
     render_support,
     submasks,
@@ -49,10 +48,6 @@ class TopSet:
 
     mask: int
     space_size: int
-
-    @property
-    def members(self) -> frozenset[int]:
-        return indices_of(self.mask)
 
     def union(self, other: "TopSet") -> "TopSet":
         return TopSet(self.mask | other.mask, self.space_size)

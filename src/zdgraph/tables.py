@@ -9,7 +9,9 @@ is itself a proof that the input was a valid reduced commutative ring.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 
 from .errors import (
     DecompositionMismatch,
@@ -40,35 +42,14 @@ def zn_tables(n: int) -> TableRing:
 def product_tables(qs: tuple[int, ...] | list[int]) -> TableRing:
     """Tables of F_q1 x ... x F_qk with the last coordinate varying fastest."""
     qs = tuple(qs)
-    size = 1
-    for q in qs:
-        size *= q
+    coords = list(itertools.product(*map(range, qs)))
+    index = {c: i for i, c in enumerate(coords)}
 
-    def to_coords(idx: int) -> tuple[int, ...]:
-        out = []
-        for q in reversed(qs):
-            out.append(idx % q)
-            idx //= q
-        return tuple(reversed(out))
+    def table(op) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(index[tuple(map(operator.mod, map(op, x, y), qs))] for y in coords) for x in coords)
 
-    def to_index(coords: tuple[int, ...]) -> int:
-        idx = 0
-        for c, q in zip(coords, qs):
-            idx = idx * q + c
-        return idx
-
-    coords = [to_coords(i) for i in range(size)]
-    add = tuple(
-        tuple(to_index(tuple((a + b) % q for a, b, q in zip(coords[i], coords[j], qs)))
-              for j in range(size))
-        for i in range(size)
-    )
-    mul = tuple(
-        tuple(to_index(tuple((a * b) % q for a, b, q in zip(coords[i], coords[j], qs)))
-              for j in range(size))
-        for i in range(size)
-    )
-    return TableRing(size=size, one=to_index(tuple(1 % q for q in qs)), add=add, mul=mul)
+    one = index[tuple(1 % q for q in qs)]
+    return TableRing(size=len(coords), one=one, add=table(operator.add), mul=table(operator.mul))
 
 
 # ---------------------------------------------------------------------------

@@ -209,27 +209,24 @@ def _sample_classes(G: GraphView, seed: int, suite: str, cap: int) -> list[int]:
     return chosen
 
 
-def _pair_population(G: GraphView, include_same_class: bool) -> dict[tuple, Sequence[tuple[int, int]]]:
+def _pair_population(G: GraphView) -> dict[tuple, Sequence[tuple[int, int]]]:
     """Signature -> its mask pairs (a, b), |a| <= |b|, in pair-list order.
 
     A signature is (|a|, |b|, |a & b|, covering, same class); a same-class
-    pair is (m, m), for a class of at least two vertices.
+    pair is (m, m), for a class of at least two vertices, which only Γ has.
     """
     groups: dict[tuple, Sequence[tuple[int, int]]] = dict(pair_groups(G.ring.k))
-    if include_same_class:
-        for m, w in zip(G.classes, G.weights):
-            if w >= 2:
-                n = m.bit_count()
-                groups.setdefault((n, n, n, False, True), []).append((m, m))
+    for m, w in zip(G.classes, G.weights):
+        if w >= 2:
+            n = m.bit_count()
+            groups.setdefault((n, n, n, False, True), []).append((m, m))
     return groups
 
 
-def _sample_pairs(
-    G: GraphView, seed: int, suite: str, cap: int, include_same_class: bool
-) -> list[tuple[Vertex, Vertex]]:
+def _sample_pairs(G: GraphView, seed: int, suite: str, cap: int) -> list[tuple[Vertex, Vertex]]:
     # a same-class pair (m, m) is drawn as copies 0 and 1; only the kept
     # pairs become vertices
-    groups = _pair_population(G, include_same_class)
+    groups = _pair_population(G)
     chosen: list[tuple[Vertex, Vertex]] = []
     for sig in sorted(groups, key=repr):
         pairs = _draw(groups[sig], cap, f"{seed}:{suite}:{sig}")
@@ -304,11 +301,11 @@ def _two_is_unit(ring: Ring) -> bool:
 
 def _suite_adjacency(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, out: list) -> None:
     zero = ring.zero()
-    for u, v in _sample_pairs(Gg, seed, "adjacency.gamma", cap, include_same_class=True):
+    for u, v in _sample_pairs(Gg, seed, "adjacency.gamma", cap):
         pred = u.mask & v.mask == 0
         orc = ring.mul(vertex_element(ring, u), vertex_element(ring, v)) == zero
         out.append(_rec("adjacency.gamma", pred, orc, _wit(u, v), pred == orc))
-    for u, v in _sample_pairs(Ga, seed, "adjacency.ag", cap, include_same_class=False):
+    for u, v in _sample_pairs(Ga, seed, "adjacency.ag", cap):
         pred = u.mask & v.mask == 0
         orc, scan = _ideal_product_is_zero(ring, u.mask, v.mask)
         out.append(_rec("adjacency.ag", pred, orc, _wit(u, v), pred == orc))
@@ -342,8 +339,8 @@ def _ideal_product_is_zero(ring: Ring, mu: int, mv: int) -> tuple[bool, bool | N
 
 
 def _suite_distance(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, out: list) -> None:
-    for G, check_id, same in ((Gg, "distance.gamma", True), (Ga, "distance.ag", False)):
-        for u, v in _sample_pairs(G, seed, check_id, cap, include_same_class=same):
+    for G, check_id in ((Gg, "distance.gamma"), (Ga, "distance.ag")):
+        for u, v in _sample_pairs(G, seed, check_id, cap):
             pred = _predict_distance(ring, u.mask, v.mask)
             orc = distance(G, u, v)
             out.append(_rec(check_id, pred, orc, _wit(u, v), pred == orc))
@@ -379,8 +376,8 @@ def _suite_triangle(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: in
 
 
 def _suite_orthogonal(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, out: list) -> None:
-    for G, check_id, same in ((Gg, "orthogonal.gamma", True), (Ga, "orthogonal.ag", False)):
-        for u, v in _sample_pairs(G, seed, check_id, cap, include_same_class=same):
+    for G, check_id in ((Gg, "orthogonal.gamma"), (Ga, "orthogonal.ag")):
+        for u, v in _sample_pairs(G, seed, check_id, cap):
             pred = _predict_orthogonal(ring, u.mask, v.mask)
             orc = orthogonal(G, u, v)
             out.append(_rec(check_id, pred, orc, _wit(u, v), pred == orc))
@@ -390,7 +387,7 @@ def _suite_girth(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, 
     full = ring.full_mask
     two_unit = _two_is_unit(ring)
 
-    for u, v in _sample_pairs(Gg, seed, "girth.gamma", cap, include_same_class=True):
+    for u, v in _sample_pairs(Gg, seed, "girth.gamma", cap):
         mu, mv = u.mask, v.mask
         w = _wit(u, v)
         disjoint = mu & mv == 0
@@ -434,7 +431,7 @@ def _suite_girth(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, 
                 )
             )
 
-    for u, v in _sample_pairs(Ga, seed, "girth.ag", cap, include_same_class=False):
+    for u, v in _sample_pairs(Ga, seed, "girth.ag", cap):
         mu, mv = u.mask, v.mask
         w = _wit(u, v)
         disjoint = mu & mv == 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from zdgraph.errors import InternalInconsistency, TooManyElements
 from zdgraph.exports import DEFAULT_EXPLICIT_CAP, ENV_EXPLICIT_CAP
@@ -59,13 +59,15 @@ def gamma_from_multiplication(ring: Ring) -> ExplicitGraph:
     """Zero-divisor graph straight from the multiplication, no support theory.
 
     Edges come from testing a*b == 0 over all element pairs, so this is an
-    independent oracle for the compressed construction.
+    independent oracle for the compressed construction.  The elements are
+    listed here, every coordinate tuple in lex order, not by the engine.
     """
     limit = env_int(ENV_EXPLICIT_CAP, DEFAULT_EXPLICIT_CAP)
     if ring.size > limit:
         raise TooManyElements(ring.size, limit)
     zero = ring.zero()
-    nonzero = [a for a in ring.elements() if a != zero]
+    elements = (ring.element(coords) for coords in product(*(range(q) for q in ring.qs)))
+    nonzero = [a for a in elements if a != zero]
     pair_zero = [
         [ring.mul(a, b) == zero for b in nonzero] for a in nonzero
     ]

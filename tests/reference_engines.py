@@ -8,10 +8,8 @@ sampling grouped plain mask pairs.  The only edits: `G.adjacency()` and
 `class_index(G, mask)`.  The `IsolatedVertex` that `domination` raises is
 defined here too: the package never raises it and no longer has it.
 
-`elements`, `elements_with_support` and `elements_of_ideal` are the
-odometer and recursive element walks the package used before it walked
-`itertools.product`, copied verbatim; the two `Ring` methods take the ring
-as a plain `self` argument.
+`elements_of_ideal` is the recursive element walk the package used
+before it walked `itertools.product`, copied verbatim.
 
 `decompose_table_ring` is the table decomposer the package used before
 its checks compared whole rows: every check scans entry by entry.  It is
@@ -260,43 +258,6 @@ def _sample_pairs(
             pairs = sorted(rng.sample(pairs, cap), key=lambda p: (p[0].mask, p[1].mask))
         chosen.extend(pairs)
     return chosen
-
-
-def elements(self: Ring):
-    if self.size > ELEMENT_CAP:
-        raise TooManyElements(self.size, ELEMENT_CAP)
-    coords = [0] * self.k
-    while True:
-        yield self.element(tuple(coords))
-        i = self.k - 1
-        while i >= 0:
-            coords[i] += 1
-            if coords[i] < self.qs[i]:
-                break
-            coords[i] = 0
-            i -= 1
-        if i < 0:
-            return
-
-
-def elements_with_support(self: Ring, support_mask: int):
-    """All elements whose support is exactly the given mask, in lex order."""
-    idx = list(iter_bits(support_mask))
-    vals = [1] * len(idx)
-    while True:
-        coords = [0] * self.k
-        for j, i in enumerate(idx):
-            coords[i] = vals[j]
-        yield self.element(tuple(coords))
-        j = len(idx) - 1
-        while j >= 0:
-            vals[j] += 1
-            if vals[j] < self.qs[idx[j]]:
-                break
-            vals[j] = 1
-            j -= 1
-        if j < 0:
-            return
 
 
 def elements_of_ideal(ring: Ring, ideal: Ideal) -> list[Element]:

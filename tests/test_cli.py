@@ -178,6 +178,21 @@ class TestVerify:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["D"]
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("export", "--zn", "30", "--graph", "gamma", "--output"), ("verify", "--zn", "30", "--report")],
+        ids=["export", "verify"],
+    )
+    def test_directory_target_is_refused_before_any_temp_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "D"
+        target.mkdir()
+        code, out, err = run(capsys, *argv, f"{target}{os.sep}")
+        assert code == EXIT_INPUT
+        assert f"Is a directory: '{target}'" in err
+        assert ".tmp" not in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["D"]
+        assert list(target.iterdir()) == []
+
     def test_suite_subset_and_unknown(self, capsys):
         code, _, _ = run(capsys, "verify", "--zn", "30", "--suites", "radius,retract")
         assert code == EXIT_OK

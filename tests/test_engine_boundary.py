@@ -16,10 +16,10 @@ neither module imports the other, inside a function or not, and the
 arithmetic they share comes from `rings`.
 
 Last, it keeps the public surface to what something reaches.  Every
-function and class that `zdgraph` exports is used by the package's own
-code, imported by the acceptance tests, or shown in the README's Library
-section; an export that none of them reaches is dead code with a test
-keeping it alive.
+function and class that `zdgraph` exports, and every public method and
+property of such a class, is used by the package's own code, imported by
+the acceptance tests, or shown in the README's Library section; a name
+that none of them reaches is dead code with a test keeping it alive.
 
 And it keeps one source of randomness.  Reports must be byte-identical for
 a seed, so the package reaches the `random` module only as one
@@ -219,19 +219,35 @@ def test_used_names_skip_definitions_and_imports():
     assert _used_names(ast.parse(source)) == {"d", "e", "f"}
 
 
-def test_every_export_is_reached():
+def _reached_names() -> set[str]:
     used = set()
     for path in MODULES:
         if path.name != "__init__.py":
             used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
-    reached = used | _acceptance_imports() | _library_section_names()
-    exported = [
-        name
-        for name in zdgraph.__all__
-        if inspect.isfunction(getattr(zdgraph, name)) or inspect.isclass(getattr(zdgraph, name))
-    ]
+    return used | _acceptance_imports() | _library_section_names()
+
+
+def _exported(kind) -> list[str]:
+    return [name for name in zdgraph.__all__ if kind(getattr(zdgraph, name))]
+
+
+def test_every_export_is_reached():
+    exported = _exported(inspect.isfunction) + _exported(inspect.isclass)
     assert len(exported) > 50
-    assert sorted(set(exported) - reached) == []
+    assert sorted(set(exported) - _reached_names()) == []
+
+
+def test_every_public_method_of_an_exported_class_is_reached():
+    # the same rule one level down: methods and properties, by name
+    reached = _reached_names()
+    members = [
+        f"{cls}.{attr}"
+        for cls in _exported(inspect.isclass)
+        for attr, value in vars(getattr(zdgraph, cls)).items()
+        if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(value, property))
+    ]
+    assert "Ring.mul" in members and "Element.support_mask" in members
+    assert sorted(m for m in members if m.split(".")[1] not in reached) == []
 
 
 def _random_uses(tree: ast.Module) -> list[str]:

@@ -5,12 +5,14 @@ the hashes, bumps the generator version and says so in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from zdgraph import SquarefreeModulus, build_ag, build_gamma, build_ring, domination, run_verification
 from zdgraph.cli import EXIT_OK, main
 from zdgraph.exports import graph_to_dot, graph_to_json, json_bytes
+from zdgraph.tables import table_to_json, zn_tables
 
 # sha256 of run_verification(ring, seed=0).to_json_bytes(), in canonical_corpus() order
 CORPUS_REPORT_SHA256 = (
@@ -70,6 +72,20 @@ COMPRESSED_EXPORT_SHA256 = {
     (105, "gamma", "dot"): "d1dc6f3614559b21800b90fb1dd6fe088f1b779a8a619ba381a3191687697e3e",
     (105, "ag", "json"): "1ff080c751afe560d9d9435a1540939332d2db3d53c4f12193b3f8717127be4e",
     (105, "ag", "dot"): "c8da2c32317aebb9dc591e9636348e3f1ef7175f8fe96cd78daa444e8ba72b95",
+}
+
+# sha256 of the stdout of `zdgraph <argv>`, where TABLE is the Z/30 table file: Γ vertices
+# print as residues for a ring built from a modulus and as coordinates for a table ring
+RENDERED_OUTPUT_SHA256 = {
+    ("dominate", "--zn", "30", "--graph", "gamma", "--total", "--json"): (
+        "98caa6d3fc55fa332e553d4ae45c4030f5e8e16197b374f91adc69af471a7979"
+    ),
+    ("dominate", "--table", "TABLE", "--graph", "gamma", "--total", "--json"): (
+        "96dee41d2f3d40a02726f6300f3436a59fbc019409bd2a6534af7935f31f1e82"
+    ),
+    ("export", "--table", "TABLE", "--graph", "gamma", "--explicit", "--format", "json"): (
+        "58ed5041579bde33b94d08470183666ad3ab5f8ea698c92c09615bf045b4762a"
+    ),
 }
 
 # (size, nodes, root_lower_bound, witness) of domination(), in canonical_corpus() order;
@@ -249,6 +265,14 @@ def test_explicit_export_bytes(n, kind, fmt):
 @pytest.mark.parametrize("n, kind, fmt", sorted(COMPRESSED_EXPORT_SHA256))
 def test_compressed_export_bytes(n, kind, fmt):
     assert _sha256(_export_bytes(n, kind, fmt, compressed=True)) == COMPRESSED_EXPORT_SHA256[(n, kind, fmt)]
+
+
+@pytest.mark.parametrize("argv", sorted(RENDERED_OUTPUT_SHA256), ids=lambda argv: "-".join(argv[:2]))
+def test_rendered_output_bytes(tmp_path, capsys, argv):
+    table = tmp_path / "z30.json"
+    table.write_text(json.dumps(table_to_json(zn_tables(30))))
+    assert main([str(table) if a == "TABLE" else a for a in argv]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == RENDERED_OUTPUT_SHA256[argv]
 
 
 @pytest.mark.parametrize(

@@ -227,7 +227,7 @@ def test_generator_scan_disagreement_is_a_record(monkeypatch, capsys):
         # a wrong product for one non-generator element of the ideal on {2}
         product = true_mul(self, a, b)
         if (0, 2, 0) in (a.coords, b.coords) and product == self.zero():
-            return self.one()
+            return self.element((1,) * self.k)
         return product
 
     monkeypatch.setattr(Ring, "mul", faulty_mul)
