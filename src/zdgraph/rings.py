@@ -205,12 +205,12 @@ class Ring:
     `modulus` is set when the ring came from a squarefree Z_n, in which case
     it must be the product of `qs` and `label` renders elements as residues
     by CRT.  `table_iso` maps table indices to coordinate tuples when the ring
-    came from tables.
+    came from tables; it is not compared, so rings with equal factors are equal.
     """
 
     qs: tuple[int, ...]
     modulus: int | None = None
-    table_iso: tuple[tuple[int, ...], ...] | None = None
+    table_iso: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
     _crt_basis: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _zero: Element = field(init=False, repr=False, compare=False)
 

@@ -184,11 +184,9 @@ def _ring_name(descriptor: dict) -> str:
 #
 # The ~2^(2k-1) class pairs are never listed.  The pairs of one signature
 # are a `pairs.PairGroup`: a sequence whose length is a closed form and
-# whose j-th item is unranked by an O(k) digit walk, in the order a full
-# pair list had them (ascending first class, then ascending second class).
-# `_draw` picks indices from the length alone and reads only those items;
-# `random.sample(population, cap)` picks its indices from `len(population)`
-# the same way, so the seed strings that sampled a pair list draw its pairs.
+# whose j-th item is unranked in O(k) from three combinadic ranks.  `_draw`
+# picks indices from the length alone, with one generator seeded by the
+# seed, suite and signature, and reads only those items.
 
 
 def _draw(population: Sequence, cap: int, key: str) -> list:
@@ -210,7 +208,7 @@ def _sample_classes(G: GraphView, seed: int, suite: str, cap: int) -> list[int]:
 
 
 def _pair_population(G: GraphView) -> dict[tuple, Sequence[tuple[int, int]]]:
-    """Signature -> its mask pairs (a, b), |a| <= |b|, in pair-list order.
+    """Signature -> its mask pairs (a, b), |a| <= |b|, the smaller mask first on a tie.
 
     A signature is (|a|, |b|, |a & b|, covering, same class); a same-class
     pair is (m, m), for a class of at least two vertices, which only Γ has.

@@ -25,6 +25,9 @@ And it keeps one source of randomness.  Reports must be byte-identical for
 a seed, so the package reaches the `random` module only as one
 `random.Random(key)` in `verify._draw`, which every sampler calls; an
 unseeded draw or a second draw path would fail here.
+
+And no file under `src/zdgraph` or `tests` imports a name it never reads,
+apart from the package's `__init__.py`, whose imports are its exports.
 """
 
 import ast
@@ -308,3 +311,26 @@ def test_randomness_is_one_seeded_generator_in_draw():
     assert {name: found for name, found in uses.items() if found} == {
         "verify.py": ["import random in <module>", "random.Random(key) in _draw"]
     }
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names a file imports and never reads; `from __future__` imports do not count."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_unused_imports_finder():
+    source = "from __future__ import annotations\nimport os.path\nimport a as b\nfrom .c import d, e\nos.sep\nd()\n"
+    assert _unused_imports(ast.parse(source)) == ["b", "e"]
+
+
+def test_every_import_is_read():
+    files = [p for p in MODULES if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+    unused = {p.name: _unused_imports(ast.parse(p.read_text(encoding="utf-8"))) for p in files}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -6,48 +6,131 @@ the hashes, bumps the generator version and says so in CHANGES.md.
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from zdgraph import SquarefreeModulus, build_ag, build_gamma, build_ring, domination, run_verification
 from zdgraph.cli import EXIT_OK, main
+from zdgraph.corpus import squarefree_moduli
 from zdgraph.exports import graph_to_dot, graph_to_json, json_bytes
 from zdgraph.tables import table_to_json, zn_tables
 
 # sha256 of run_verification(ring, seed=0).to_json_bytes(), in canonical_corpus() order
 CORPUS_REPORT_SHA256 = (
-    ("2x3", "ad5609a1e3cc7773ba8d6d8920caa2bb3c6f25335fc752d98b3fa47f390b762f"),
-    ("2x5", "8982332f8e9e758f9fa14a92eca273b88033024dd9b4b29b0941a0a5213092b0"),
-    ("3x5", "523382dca1cd1ed248c3823185c72a277bbe1cf8ab502674fb11fc10f9fe982f"),
-    ("2x3x5", "c940701f1cd535f778644eaaeb6b57842be630e4cbb4cb02b5f640d1e39da681"),
-    ("2x3x7", "38527d78f6dea99ed0a014ee93bc574cf269bd62918d8a9379da0b566f76a99e"),
-    ("2x3x11", "f64312a54f79820dc9536674305bfe80444cf0260c8d428dc4d6dfe779359bfe"),
-    ("2x5x7", "f7c689af234cf5ac4130c3e570d64c11bd885290464fbaea0dd5dde2b1a24618"),
-    ("3x5x7", "03b9553cfbdd92e6ea21ccd301b342adce38b9117517e4383e25c116feab4e80"),
-    ("2x3x5x7", "2039ba3e657b57aae61a6549f020d4d92b137a1e9d7e050f82e1f5aa4844a888"),
-    ("3x7x11", "125bbd65f37c6fde900a85fa64ea9b8ef350cad122c7c1b3e76906aee3364226"),
-    ("2x3x7x11", "261441958f690f2afa2f2a465552aa2649c89823322cd747c86889710fe22de7"),
-    ("2x2", "8af53d34470f996163b78dab4745c58b756fe52b4e57a138aa0659f796b32cfc"),
-    ("3x3", "2012273a72efd5af96506bf9c235435317112870aeefbf9d466af72cb129efad"),
-    ("3x5", "523382dca1cd1ed248c3823185c72a277bbe1cf8ab502674fb11fc10f9fe982f"),
-    ("5x7", "0bcc242b938d06d5cb1dc6099fd4f8b6199df5ff94c03f90175e1f7881b4faa0"),
-    ("2x2x2", "e6bfb8d64a1f66ee86cc3f5986c6dbf9b49a9370277b9e642a5712a6aa10eb1a"),
-    ("3x3x3", "108e97323cb5b907d449bc66a3bc14ebbcb3f4fea15ebf1c3399549f4f72aa03"),
-    ("2x3x7", "38527d78f6dea99ed0a014ee93bc574cf269bd62918d8a9379da0b566f76a99e"),
-    ("2x2x2x2", "b1dc9550a165e7fd49cc4e94878cbf4dfe3326714577d6316d04b427b6489748"),
-    ("2x2x3x3", "637708bac7478334fc86f5bbac2844831a75f2b0a2aa4fd3bcecac115831d089"),
+    ("2x3", "adc011278a831cf7355dceae82e9f130cc9201a306dd4fcb206aabb89062813c"),
+    ("2x5", "20b51db431ddf6a09a6c0c48134514d68a3ec86b5c83f16f1ef3f4d95d2afdae"),
+    ("3x5", "fa17a673ebb62648ca41780fc93c45b5c337e73a097db42716767118e90399aa"),
+    ("2x3x5", "0f275b530c9ffa133349fea84b51c970a4577cf2449f8ef2a2441e42693d1019"),
+    ("2x3x7", "dfa8dcef805e9d812e526adb0732b3112e40168a3a2c23a97976aec8977d537d"),
+    ("2x3x11", "29d4c17aafb326bee2ae8a04979bfdad881bc7f2b85c6afe3dc17d741e691e2d"),
+    ("2x5x7", "2cdb30dedddb57cfaba9f50238150698d3140cbce61a909f8ee133d619101553"),
+    ("3x5x7", "e7c8ac4ec0938680106ec919b261dd477e681b7a5055fe31a43e48abcfd2c117"),
+    ("2x3x5x7", "84175c6ac70e61ffda82daed98629e6ed9795b7577ac5da477e286de473e2a25"),
+    ("3x7x11", "8786a6fe1d7eac5cf6d149e185de68869b506a142314f99f3db85522099d7714"),
+    ("2x3x7x11", "8b56096f5d52c656889cf4de90da841e604c97bdb8b3ef6d754a681ebb7ac167"),
+    ("2x2", "787b5f605b2d790817092024492d713b2359332fd0ea7c7482c17c0d7a25d253"),
+    ("3x3", "c19ff5d2deff2db78e4c7c41bb6d2761bd9000c49a786572b4032c50610a0f1d"),
+    ("3x5", "fa17a673ebb62648ca41780fc93c45b5c337e73a097db42716767118e90399aa"),
+    ("5x7", "cf50f8c3425800b8afcb7b5bf6dbad40aabf7dd1dd63fabe3f030fa6a4cef33a"),
+    ("2x2x2", "b08dd12e87e3ec2b4f741e34c8cb431264f6bac5fc6cdde30c36029ee5aaacf4"),
+    ("3x3x3", "3a0039976c9ac603f12ccd4db65151431b14a0be43b80aa472730ab2f01a9256"),
+    ("2x3x7", "dfa8dcef805e9d812e526adb0732b3112e40168a3a2c23a97976aec8977d537d"),
+    ("2x2x2x2", "765cca419da4f168f3c09d35a25e788a4e87a207bbaa09027c70c60aa026b402"),
+    ("2x2x3x3", "0aa000d06e85857b709810a4a12b93cb197ce54818c84825875db780d88f3104"),
 )
 
 # sha256 of run_verification(build_ring(SquarefreeModulus(510510)), seed=s).to_json_bytes():
 # seven factors, the size the benchmark verifies, with girth and adjacency records
 K7_REPORT_SHA256 = {
-    0: "bcd188c145fac3d529a9b77ed5633069805a121e12f10ccb7186fb6489404dc8",
-    1: "9f8e4072d282a46a57c716a76a42913f01e41be42a9a09776cb05a6dbaac4d8b",
+    0: "c5ff518b3cfc43aaef7a950c3f087b9fd0e17cd0df04e151b8933f92c5ebea36",
+    1: "ad422f113f27798126967939a0a20e846e57d29fb01c98ebc2f760749ef685aa",
 }
 
 # sha256 over the sorted "<file name> <sha256 of its bytes>\n" lines of the 182 reports that
 # `zdgraph batch --squarefree-below 300 --seed 0` writes: every small ring, fields and Z/2 included
-BATCH_300_SHA256 = "e4e1cc661f452e0571d605b691a895c3eee676071a6fcf98a659ddedb9408703"
+BATCH_300_SHA256 = "58982010c52f093d2628bb5de96e83d6b2e392d02669e30e2252e56c6d902eb2"
+
+# (check id, verdict, registered) -> records, over run_verification(ring, seed=0) for the canonical
+# corpus and the 182 rings of `batch --squarefree-below 300`.  Which pairs are drawn changes the
+# witnesses only, so these counts hold across a change of the sampler; a change that adds or
+# moves records updates them on purpose
+VERDICT_COUNTS = {
+    ('adjacency.ag', 'Confirmed', False): 984,
+    ('adjacency.ag', 'NotApplicable', False): 62,
+    ('adjacency.gamma', 'Confirmed', False): 1394,
+    ('adjacency.gamma', 'NotApplicable', False): 62,
+    ('distance.ag', 'Confirmed', False): 984,
+    ('distance.ag', 'NotApplicable', False): 62,
+    ('distance.gamma', 'Confirmed', False): 1394,
+    ('distance.gamma', 'NotApplicable', False): 62,
+    ('domination.ag', 'Confirmed', False): 140,
+    ('domination.ag', 'NotApplicable', False): 62,
+    ('domination.bound', 'Confirmed', False): 140,
+    ('domination.bound', 'NotApplicable', False): 62,
+    ('domination.finite', 'Confirmed', False): 140,
+    ('domination.finite', 'NotApplicable', False): 62,
+    ('domination.gamma-le-ag', 'Confirmed', False): 46,
+    ('domination.gamma-le-ag', 'NotApplicable', False): 156,
+    ('domination.total.ag', 'Confirmed', False): 140,
+    ('domination.total.ag', 'NotApplicable', False): 62,
+    ('domination.total.gamma', 'Confirmed', False): 140,
+    ('domination.total.gamma', 'NotApplicable', False): 62,
+    ('ecc.ag', 'Confirmed', False): 316,
+    ('ecc.ag', 'NotApplicable', False): 62,
+    ('ecc.ag', 'Violated', True): 188,
+    ('ecc.gamma', 'Confirmed', False): 466,
+    ('ecc.gamma', 'NotApplicable', False): 62,
+    ('ecc.gamma', 'Violated', True): 38,
+    ('girth.ag.equal-closure', 'NotApplicable', False): 140,
+    ('girth.ag.five-range', 'Confirmed', False): 30,
+    ('girth.ag.four-meeting', 'Confirmed', False): 30,
+    ('girth.ag.four-orthogonal', 'Confirmed', False): 15,
+    ('girth.ag.isolated-point', 'Confirmed', False): 30,
+    ('girth.ag.three', 'Confirmed', False): 984,
+    ('girth.ag.three', 'NotApplicable', False): 62,
+    ('girth.gamma.four-meeting', 'Confirmed', False): 234,
+    ('girth.gamma.four-meeting', 'NotApplicable', False): 542,
+    ('girth.gamma.four-meeting-converse', 'Confirmed', False): 600,
+    ('girth.gamma.four-orthogonal', 'Confirmed', False): 87,
+    ('girth.gamma.isolated-point', 'Confirmed', False): 16,
+    ('girth.gamma.six', 'Confirmed', False): 30,
+    ('girth.gamma.three', 'Confirmed', False): 1394,
+    ('girth.gamma.three', 'NotApplicable', False): 62,
+    ('orthogonal.ag', 'Confirmed', False): 984,
+    ('orthogonal.ag', 'NotApplicable', False): 62,
+    ('orthogonal.gamma', 'Confirmed', False): 1394,
+    ('orthogonal.gamma', 'NotApplicable', False): 62,
+    ('radius.ag', 'Confirmed', False): 46,
+    ('radius.ag', 'NotApplicable', False): 62,
+    ('radius.ag', 'Violated', True): 94,
+    ('radius.equal', 'Confirmed', False): 83,
+    ('radius.equal', 'NotApplicable', False): 62,
+    ('radius.equal', 'Violated', True): 57,
+    ('radius.gamma', 'Confirmed', False): 103,
+    ('radius.gamma', 'NotApplicable', False): 62,
+    ('radius.gamma', 'Violated', True): 37,
+    ('retract.adjacency-biconditional', 'Confirmed', False): 140,
+    ('retract.adjacency-biconditional', 'NotApplicable', False): 62,
+    ('retract.homomorphism', 'Confirmed', False): 140,
+    ('retract.homomorphism', 'NotApplicable', False): 62,
+    ('retract.sz-identity', 'Confirmed', False): 140,
+    ('retract.sz-identity', 'NotApplicable', False): 62,
+    ('spectrum.bourbaki-witnesses', 'Confirmed', False): 202,
+    ('spectrum.contained-in-maximal', 'Confirmed', False): 140,
+    ('spectrum.contained-in-maximal', 'NotApplicable', False): 62,
+    ('spectrum.fixed-place', 'Confirmed', False): 202,
+    ('spectrum.maximal-are-min-primes', 'Confirmed', False): 140,
+    ('spectrum.maximal-are-min-primes', 'NotApplicable', False): 62,
+    ('triangle.ag', 'Confirmed', False): 504,
+    ('triangle.ag', 'NotApplicable', False): 62,
+    ('triangle.gamma', 'Confirmed', False): 504,
+    ('triangle.gamma', 'NotApplicable', False): 62,
+    ('triangulated.ag', 'Confirmed', False): 140,
+    ('triangulated.ag', 'NotApplicable', False): 62,
+    ('triangulated.gamma', 'Confirmed', False): 140,
+    ('triangulated.gamma', 'NotApplicable', False): 62,
+}
 
 # sha256 of the --explicit export bytes, as `zdgraph export --zn N --graph G --format F --explicit` prints them
 EXPLICIT_EXPORT_SHA256 = {
@@ -247,6 +330,14 @@ def test_batch_report_bytes(tmp_path, capsys):
     assert len(reports) == 182
     listing = "".join(f"{p.name} {_sha256(p.read_bytes())}\n" for p in reports)
     assert _sha256(listing.encode("utf-8")) == BATCH_300_SHA256
+
+
+def test_verdict_counts(corpus):
+    rings = corpus + [build_ring(SquarefreeModulus(n)) for n in squarefree_moduli(300)]
+    counts = Counter(
+        (r.check_id, r.verdict.value, r.registered) for ring in rings for r in run_verification(ring, seed=0).records
+    )
+    assert dict(counts) == VERDICT_COUNTS
 
 
 def _export_bytes(n: int, kind: str, fmt: str, compressed: bool) -> bytes:

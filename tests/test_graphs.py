@@ -3,11 +3,8 @@ import math
 import pytest
 
 from zdgraph import (
-    AG,
-    GAMMA,
     Disconnected,
     EmptyGraph,
-    Infinite,
     PrimeFactors,
     SquarefreeModulus,
     Vertex,

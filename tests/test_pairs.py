@@ -2,17 +2,20 @@
 
 `test_reference_engines.py` checks every group item by item against a pair
 list at k <= 8.  Here the group sizes must add up to every class pair at
-k = 12 ... 16, and sampled items must keep their signature and order.
+k = 12 ... 16, and sampled items must keep their signature and be written
+in its order: the smaller class first, the smaller mask first on a tie.
+A fixed key must draw the same pairs on every supported Python.
 """
 
+import hashlib
 import math
 import random
 
 import pytest
 
-from zdgraph import PrimeFactors, build_ag, build_gamma, build_ring
+from zdgraph import PrimeFactors, SquarefreeModulus, build_ag, build_gamma, build_ring
 from zdgraph.pairs import pair_groups
-from zdgraph.verify import _pair_population
+from zdgraph.verify import _pair_population, _sample_pairs
 
 
 # the sampler's pair groups are counted, not listed, so their sizes can be
@@ -39,11 +42,24 @@ def test_unranked_pairs_keep_signature_and_order_at_k14():
         n = len(group)
         picks = sorted({0, n - 1, *random.Random(repr(sig)).sample(range(n), min(n, 4))})
         got = [group[j] for j in picks]
+        assert len(set(got)) == len(picks), sig
         for a, b in got:
             assert (a.bit_count(), b.bit_count(), (a & b).bit_count(), a | b == full, False) == sig
-            assert 0 < a < full and 0 < b < full and a != b
-        # ascending first class, then ascending second class
-        ordered = [(min(a, b), max(a, b)) for a, b in got]
-        assert ordered == sorted(set(ordered)), sig
-    singletons = dict(pair_groups(k))[(1, 1, 0, False, False)]
-    assert (singletons[0], singletons[-1]) == ((1, 2), (1 << 12, 1 << 13))
+            assert 0 < a < full and 0 < b < full
+            if a.bit_count() == b.bit_count():
+                assert a < b
+
+
+# sha256 of the "<a> <b>\n" mask lines of the 294 pairs that girth's 𝔸𝔾 suite draws on Z/510510
+# at seed 0: `random.Random(key).sample` and the unrank together decide them
+K7_AG_DRAW_SHA256 = "84bfd66a71dbb7b470977723cf8febf454ca911ef14907c458bb98c81a6f6452"
+
+
+def test_fixed_key_draw_is_pinned():
+    drawn = _sample_pairs(build_ag(build_ring(SquarefreeModulus(510510))), 0, "girth.ag", 6)
+    masks = [(u.mask, v.mask) for u, v in drawn]
+    assert len(masks) == 294
+    # the first signature, two singletons, holds C(7, 2) = 21 pairs, of which 6 are drawn
+    assert masks[:6] == [(1, 4), (2, 16), (2, 32), (4, 8), (4, 32), (16, 64)]
+    listing = "".join(f"{a} {b}\n" for a, b in masks)
+    assert hashlib.sha256(listing.encode("utf-8")).hexdigest() == K7_AG_DRAW_SHA256

@@ -16,6 +16,7 @@ from zdgraph import (
     NotCommutative,
     NotReduced,
     NotUnital,
+    PrimeFactors,
     RingConstructionError,
     build_ring,
     load_table_file,
@@ -55,6 +56,12 @@ def test_decompose_product_tables():
     assert ring.qs == (3, 5)
     t2 = product_tables((2, 2))
     assert decompose_table_ring(t2).qs == (2, 2)
+
+
+def test_rings_with_equal_factors_are_equal_whatever_their_source():
+    # the table map is not compared, so a table ring equals the ring of its factors
+    assert build_ring(zn_tables(6)) == build_ring(PrimeFactors((2, 3)))
+    assert build_ring(product_tables((2, 3))) == build_ring(zn_tables(6))
 
 
 def test_table_arithmetic_matches_source():
