@@ -6,95 +6,113 @@ support class, and every metric (distance, eccentricity, girth through a
 pair, domination) is exact on the compressed form.  The verification layer
 replays structural predictions against independent oracles and writes
 reproducible reports.
+
+Importing the package loads none of its engine modules: each exported name
+loads its module on first use (PEP 562), so a command pays only for the
+modules it runs.
 """
 
-from .edge_cases import Registry, RegistryEntry, load_registry
-from .errors import (
-    DecompositionMismatch,
-    Disconnected,
-    EmptyGraph,
-    FactorNotField,
-    FactorNotPrimeField,
-    InputFormatError,
-    InternalInconsistency,
-    NoAnnihilatingIdeals,
-    NotAdditiveGroup,
-    NotCommutative,
-    NotReduced,
-    NotSquarefree,
-    NotUnital,
-    RingConstructionError,
-    TooManyElements,
-    TooManyFactors,
-    ZdgraphError,
-)
-from .graphs import (
-    AG,
-    GAMMA,
-    Infinite,
-    DominationResult,
-    GirthResult,
-    GraphView,
-    Vertex,
-    build_ag,
-    build_gamma,
-    class_eccentricity,
-    diameter,
-    degree,
-    distance,
-    domination,
-    eccentricity,
-    gamma_vertex,
-    girth_through,
-    is_pendant,
-    is_triangle_vertex,
-    is_triangulated,
-    orthogonal,
-    radius,
-    vertex_element,
-    vertex_label,
-)
-from .rings import (
-    Element,
-    Ideal,
-    PrimeFactors,
-    Ring,
-    SquarefreeModulus,
-    TableRing,
-    annihilating_ideals,
-    annihilator_element,
-    build_ring,
-    enumerate_ideals,
-    factor_squarefree,
-    ideal_contains,
-    ideal_product,
-)
-from .spectrum import (
-    BourbakiSet,
-    MinPrime,
-    PlaceStatus,
-    RetractReport,
-    TopSet,
-    bourbaki_primes,
-    cozero_set,
-    fixed_place_status,
-    interior,
-    kernel,
-    maximal_annihilating,
-    min_primes,
-    prime_annihilating,
-    retract_check,
-    sz_closure,
-    zero_set,
-)
-from .tables import load_table_file, product_tables, table_from_json, table_to_json, zn_tables
-from .verify import (
-    ALL_SUITES,
-    CheckRecord,
-    VerificationReport,
-    Verdict,
-    run_verification,
-)
+import importlib
+
 from .version import __version__
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# module -> the names it exports
+_EXPORTS = {
+    "edge_cases": ("Registry", "RegistryEntry", "load_registry"),
+    "errors": (
+        "DecompositionMismatch",
+        "Disconnected",
+        "EmptyGraph",
+        "FactorNotField",
+        "FactorNotPrimeField",
+        "InputFormatError",
+        "InternalInconsistency",
+        "NoAnnihilatingIdeals",
+        "NotAdditiveGroup",
+        "NotCommutative",
+        "NotReduced",
+        "NotSquarefree",
+        "NotUnital",
+        "RingConstructionError",
+        "TooManyElements",
+        "TooManyFactors",
+        "ZdgraphError",
+    ),
+    "graphs": (
+        "AG",
+        "GAMMA",
+        "Infinite",
+        "DominationResult",
+        "GirthResult",
+        "GraphView",
+        "Vertex",
+        "build_ag",
+        "build_gamma",
+        "class_eccentricity",
+        "diameter",
+        "degree",
+        "distance",
+        "domination",
+        "eccentricity",
+        "gamma_vertex",
+        "girth_through",
+        "is_pendant",
+        "is_triangle_vertex",
+        "is_triangulated",
+        "orthogonal",
+        "radius",
+        "vertex_element",
+        "vertex_label",
+    ),
+    "rings": (
+        "Element",
+        "Ideal",
+        "PrimeFactors",
+        "Ring",
+        "SquarefreeModulus",
+        "TableRing",
+        "annihilating_ideals",
+        "annihilator_element",
+        "build_ring",
+        "enumerate_ideals",
+        "factor_squarefree",
+        "ideal_contains",
+        "ideal_product",
+    ),
+    "spectrum": (
+        "BourbakiSet",
+        "MinPrime",
+        "PlaceStatus",
+        "RetractReport",
+        "TopSet",
+        "bourbaki_primes",
+        "cozero_set",
+        "fixed_place_status",
+        "interior",
+        "kernel",
+        "maximal_annihilating",
+        "min_primes",
+        "prime_annihilating",
+        "retract_check",
+        "sz_closure",
+        "zero_set",
+    ),
+    "tables": ("load_table_file", "product_tables", "table_from_json", "table_to_json", "zn_tables"),
+    "verify": ("ALL_SUITES", "CheckRecord", "VerificationReport", "Verdict", "run_verification"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

@@ -12,8 +12,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .corpus import squarefree_moduli
-from .edge_cases import load_registry
+# Only what every command needs is imported here; each command imports the
+# engine modules it runs, so `inspect` never compiles `verify` or `tables`.
 from .errors import (
     InputFormatError,
     InternalInconsistency,
@@ -23,7 +23,6 @@ from .errors import (
     ZdgraphError,
 )
 from .exports import graph_to_dot, graph_to_json, json_bytes, write_bytes_atomic
-from .graphs import build_ag, build_gamma, domination, radius, vertex_label
 from .rings import (
     DEFAULT_MAX_FACTORS,
     PrimeFactors,
@@ -33,9 +32,6 @@ from .rings import (
     build_ring,
     env_int,
 )
-from .spectrum import fixed_place_status, maximal_annihilating, min_primes
-from .tables import load_table_file
-from .verify import ALL_SUITES, run_verification, select_suites
 from .version import __version__
 
 ENV_MAX_FACTORS = "ZDGRAPH_MAX_FACTORS"
@@ -75,6 +71,8 @@ def _ring_from_args(args: argparse.Namespace) -> Ring:
         if not primes:
             raise InputFormatError("--fields needs at least one prime")
         return _build_ring(PrimeFactors(primes))
+    from .tables import load_table_file
+
     return _build_ring(load_table_file(args.table))
 
 
@@ -120,7 +118,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run prediction-versus-oracle checks")
     _add_ring_args(p)
-    p.add_argument("--suites", metavar="NAMES", help=f"comma-separated subset of: {', '.join(ALL_SUITES)}")
+    p.add_argument("--suites", metavar="NAMES", help="comma-separated suite names")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pair-cap", type=int, default=6, help="sampled pairs per signature")
     p.add_argument("--report", metavar="PATH", help="write the JSON report here")
@@ -150,6 +148,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    from .graphs import build_ag, build_gamma, radius
+    from .spectrum import fixed_place_status, maximal_annihilating, min_primes
+
     ring = _ring_from_args(args)
     doc: dict = {
         "ring": ring.describe(),
@@ -202,6 +203,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from .graphs import build_ag, build_gamma
+
     ring = _ring_from_args(args)
     G = build_gamma(ring) if args.graph == "gamma" else build_ag(ring)
     if args.format == "dot":
@@ -213,6 +216,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .edge_cases import load_registry
+    from .verify import run_verification
+
     ring = _ring_from_args(args)
     registry = load_registry(args.registry) if args.registry else None
     report = run_verification(
@@ -231,6 +237,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_dominate(args: argparse.Namespace) -> int:
+    from .graphs import build_ag, build_gamma, domination, vertex_label
+
     ring = _ring_from_args(args)
     G = build_gamma(ring) if args.graph == "gamma" else build_ag(ring)
     result = domination(G, total=args.total)
@@ -255,6 +263,10 @@ def _cmd_dominate(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from .corpus import squarefree_moduli
+    from .edge_cases import load_registry
+    from .verify import run_verification, select_suites
+
     suites = select_suites(_parse_suites(args.suites), args.pair_cap)
     if args.squarefree_below is not None:
         moduli = squarefree_moduli(args.squarefree_below)

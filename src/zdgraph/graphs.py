@@ -14,8 +14,8 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import Disconnected, EmptyGraph, InternalInconsistency
 from .rings import (
@@ -25,6 +25,7 @@ from .rings import (
     _closed_down,
     _lattice,
     _lowest,
+    _reversed,
     iter_bits,
     render_support,
     subset_products,
@@ -147,18 +148,17 @@ def vertex_label(G: GraphView, v: Vertex) -> str:
 # distance, eccentricity, radius
 
 
-def _neighbors(lat: tuple[str, tuple[int, ...], int], bits: int) -> int:
+def _neighbors(lat: tuple[int, tuple[int, ...], int], bits: int) -> int:
     """The classes disjoint from at least one class in the set `bits`.
 
-    Writing the set as 2^k binary digits and reversing them complements
-    every mask at once (full - m == full ^ m); the downward closure is one
-    shift-and-OR per coordinate.
+    Reversing the set's 2^k bits complements every mask at once (full - m
+    == full ^ m); the downward closure is one shift-and-OR per coordinate.
     """
-    fmt, has, classes = lat
-    return _closed_down(has, int(format(bits, fmt)[::-1], 2)) & classes
+    _, has, classes = lat
+    return _closed_down(has, _reversed(lat, bits)) & classes
 
 
-def _levels(lat: tuple[str, tuple[int, ...], int], start: int, usable: int, stop: int) -> list[int]:
+def _levels(lat: tuple[int, tuple[int, ...], int], start: int, usable: int, stop: int) -> list[int]:
     """BFS levels over the `usable` classes from `start`, as bitsets.
 
     Each level is `_neighbors` of the last, less the classes seen.  The walk
@@ -309,7 +309,7 @@ class GirthResult:
 
 
 def _shortest_path(
-    lat: tuple[str, tuple[int, ...], int], start: int, near: int, usable: int
+    lat: tuple[int, tuple[int, ...], int], start: int, near: int, usable: int
 ) -> list[int] | None:
     """The classes of a shortest path between two vertices, by bitset BFS.
 
@@ -434,8 +434,9 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
     full = G.full_mask
     k = G.ring.k
     lat = _lattice(k)
-    # bit m is set when class m has one copy; bit 0 stands for no class
-    weight_one = int("".join("1" if w == 1 else "0" for w in reversed(ws)) + "0", 2)
+    # bit m is set when class m has one copy: every coordinate of m has size 2
+    twos = sum(1 << i for i, q in enumerate(G.sizes) if q == 2)
+    weight_one = _closed_down(lat[1], 1 << twos) & lat[2]
 
     def uncovered(one: int, every: int) -> int:
         covered = _neighbors(lat, one | every)

@@ -14,8 +14,8 @@ import itertools
 import math
 import operator
 import os
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InputFormatError,
@@ -85,11 +85,11 @@ def subset_products(factors: Sequence[int]) -> list[int]:
 
 
 @functools.cache
-def _lattice(k: int) -> tuple[str, tuple[int, ...], int]:
+def _lattice(k: int) -> tuple[int, tuple[int, ...], int]:
     """Constants for sets of masks over k coordinates.
 
-    Returns the format string that writes such a set as 2^k binary digits,
-    the sets HAS_i of masks with bit i set, and the set of proper nonempty
+    Returns the number of bytes that hold such a set (at least one), the
+    sets HAS_i of masks with bit i set, and the set of proper nonempty
     masks.
     """
     size = 1 << k
@@ -103,7 +103,7 @@ def _lattice(k: int) -> tuple[str, tuple[int, ...], int]:
             width *= 2
         has.append(x)
     classes = (1 << (size - 1)) - 2  # bits 1 .. full - 1
-    return f"0{size}b", tuple(has), classes
+    return max(size >> 3, 1), tuple(has), classes
 
 
 def _lowest(bits: int) -> int:
@@ -119,6 +119,22 @@ def _closed_down(has: tuple[int, ...], bits: int) -> int:
     for i, h in enumerate(has):
         bits |= (bits & h) >> (1 << i)
     return bits
+
+
+# byte b with its eight bits in reverse order
+_BIT_REVERSED = bytes(sum((b >> j & 1) << (7 - j) for j in range(8)) for b in range(256))
+
+
+def _reversed(lat: tuple[int, tuple[int, ...], int], bits: int) -> int:
+    """The set `bits` with each member m replaced by full ^ m.
+
+    That reverses the 2^k bits of the set: reverse the bits of each byte,
+    then read the bytes in the other order.  A set narrower than a byte
+    (k < 3) is reversed as a whole byte and shifted back down.
+    """
+    nbytes, has, _ = lat
+    flipped = int.from_bytes(bits.to_bytes(nbytes, "little").translate(_BIT_REVERSED), "big")
+    return flipped >> (8 * nbytes - (1 << len(has)))
 
 
 def render_support(mask: int) -> str:

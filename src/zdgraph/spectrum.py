@@ -9,9 +9,9 @@ down.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .errors import NoAnnihilatingIdeals
 from .rings import (
@@ -263,16 +263,16 @@ def maximal_annihilating(ring: Ring) -> list[Ideal]:
     members = annihilating_ideals(ring)
     if not members:
         raise NoAnnihilatingIdeals(f"ring with factors {ring.qs} has no annihilating ideals")
-    fmt, has, _ = _lattice(ring.k)
-    family = bytearray(b"0" * (1 << ring.k))  # digit m stands for mask m
+    nbytes, has, _ = _lattice(ring.k)
+    family = bytearray(nbytes)  # bit m stands for mask m
     for I in members:
-        family[I.mask] = ord("1")
-    inside = _closed_down(has, int(family[::-1], 2))
+        family[I.mask >> 3] |= 1 << (I.mask & 7)
+    inside = _closed_down(has, int.from_bytes(family, "little"))
     strictly_inside = 0
     for i, h in enumerate(has):
         strictly_inside |= (inside & h) >> (1 << i)
-    digits = format(strictly_inside, fmt)[::-1]
-    return [I for I in members if digits[I.mask] == "0"]
+    marked = strictly_inside.to_bytes(nbytes, "little")
+    return [I for I in members if not marked[I.mask >> 3] >> (I.mask & 7) & 1]
 
 
 def prime_annihilating(ring: Ring) -> list[Ideal]:

@@ -588,7 +588,7 @@ def select_suites(suites: tuple[str, ...] | list[str] | None, per_signature_cap:
     """The suites to run, in report order; raises on an unknown name or a cap below 1."""
     bad = sorted(set(suites or ()) - set(ALL_SUITES))
     if bad:
-        raise InputFormatError(f"unknown suites: {', '.join(bad)}")
+        raise InputFormatError(f"unknown suites: {', '.join(bad)} (known: {', '.join(ALL_SUITES)})")
     if per_signature_cap < 1:
         raise InputFormatError(f"the pair cap must be at least 1, got {per_signature_cap}")
     return ALL_SUITES if suites is None else tuple(s for s in ALL_SUITES if s in set(suites))

@@ -151,6 +151,14 @@ class TestVerify:
         )
         assert code == EXIT_VIOLATIONS
 
+    def test_unknown_suite_error_lists_the_known_suites(self, capsys):
+        # the --suites help names no suite, so the error is where they are listed
+        code, out, err = run(capsys, "verify", "--zn", "30", "--suites", "nope")
+        assert code == EXIT_INPUT
+        known = "adjacency, distance, eccentricity, radius, triangle, orthogonal, girth, domination, spectrum, retract"
+        assert f"unknown suites: nope (known: {known})" in err
+        assert "Traceback" not in err and out == ""
+
     def test_registry_with_misspelt_key_exits_three(self, capsys, tmp_path):
         reg = tmp_path / "typo.json"
         entry = {"check_id": "radius.gamma", "applies": {"has_factor2": True}, "reason": "r"}

@@ -28,11 +28,18 @@ unseeded draw or a second draw path would fail here.
 
 And no file under `src/zdgraph` or `tests` imports a name it never reads,
 apart from the package's `__init__.py`, whose imports are its exports.
+
+Last of all, it keeps each command to the modules it runs.  `import zdgraph`
+loads no engine module, and a fresh interpreter running one command holds
+only the modules that command needs.
 """
 
 import ast
 import inspect
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -334,3 +341,66 @@ def test_every_import_is_read():
     files = [p for p in MODULES if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
     unused = {p.name: _unused_imports(ast.parse(p.read_text(encoding="utf-8"))) for p in files}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# `zdgraph.__all__` before the package became lazy, less its submodule names
+EXPORTS = [
+    "AG", "ALL_SUITES", "BourbakiSet", "CheckRecord", "DecompositionMismatch", "Disconnected",
+    "DominationResult", "Element", "EmptyGraph", "FactorNotField", "FactorNotPrimeField", "GAMMA",
+    "GirthResult", "GraphView", "Ideal", "Infinite", "InputFormatError", "InternalInconsistency",
+    "MinPrime", "NoAnnihilatingIdeals", "NotAdditiveGroup", "NotCommutative", "NotReduced",
+    "NotSquarefree", "NotUnital", "PlaceStatus", "PrimeFactors", "Registry", "RegistryEntry",
+    "RetractReport", "Ring", "RingConstructionError", "SquarefreeModulus", "TableRing",
+    "TooManyElements", "TooManyFactors", "TopSet", "Verdict", "VerificationReport", "Vertex",
+    "ZdgraphError", "annihilating_ideals", "annihilator_element", "bourbaki_primes", "build_ag",
+    "build_gamma", "build_ring", "class_eccentricity", "cozero_set", "degree", "diameter",
+    "distance", "domination", "eccentricity", "enumerate_ideals", "factor_squarefree",
+    "fixed_place_status", "gamma_vertex", "girth_through", "ideal_contains", "ideal_product",
+    "interior", "is_pendant", "is_triangle_vertex", "is_triangulated", "kernel", "load_registry",
+    "load_table_file", "maximal_annihilating", "min_primes", "orthogonal", "prime_annihilating",
+    "product_tables", "radius", "retract_check", "run_verification", "sz_closure", "table_from_json",
+    "table_to_json", "vertex_element", "vertex_label", "zero_set", "zn_tables",
+]
+
+
+def _modules_after(code: str) -> set[str]:
+    """The package modules a fresh interpreter holds after running `code`, without the prefix."""
+    script = f"import sys\n{code}\nprint()\nprint(*sorted(m for m in sys.modules if m.startswith('zdgraph')))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    return {m.removeprefix("zdgraph").lstrip(".") or "zdgraph" for m in done.stdout.splitlines()[-1].split()}
+
+
+def _modules_after_command(*argv: str) -> set[str]:
+    return _modules_after(f"from zdgraph.cli import main\nassert main({list(argv)!r}) == 0")
+
+
+def test_import_loads_no_engine_module():
+    assert _modules_after("import zdgraph") == {"zdgraph", "version"}
+
+
+def test_inspect_loads_only_what_it_runs():
+    loaded = _modules_after_command("inspect", "--zn", "30", "--json")
+    assert loaded <= {"zdgraph", "cli", "errors", "rings", "graphs", "spectrum", "exports", "version"}
+
+
+def test_verify_loads_neither_tables_nor_corpus():
+    loaded = _modules_after_command("verify", "--zn", "30", "--quiet")
+    assert {"verify", "edge_cases"} <= loaded
+    assert not {"tables", "corpus"} & loaded
+
+
+def test_verify_on_a_table_loads_tables(tmp_path):
+    from zdgraph.tables import table_to_json, zn_tables
+
+    path = tmp_path / "z6.json"
+    path.write_text(json.dumps(table_to_json(zn_tables(6))))
+    assert "tables" in _modules_after_command("verify", "--table", str(path), "--quiet")
+
+
+def test_every_export_resolves_lazily():
+    assert zdgraph.__all__ == sorted(EXPORTS)
+    assert dir(zdgraph) == sorted(EXPORTS)
+    assert all(getattr(zdgraph, name) is not None for name in EXPORTS)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zdgraph.no_such_name

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from zdgraph import (
     zn_tables,
 )
 from zdgraph.corpus import squarefree_moduli
-from zdgraph.rings import FACTOR_BOUND, elements_of_ideal, render_support
+from zdgraph.rings import FACTOR_BOUND, _lattice, _reversed, elements_of_ideal, render_support
 
 
 def test_factor_squarefree_basics():
@@ -47,6 +49,17 @@ def test_factor_squarefree_rejects_squares():
 def test_mask_helpers():
     assert render_support(0b101) == "{1,3}"
     assert render_support(0) == "{}"
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_set_reversal_through_bytes_matches_the_digit_string(k):
+    # bit m of the result is bit full ^ m of the set, for sets narrower than a byte too
+    size = 1 << k
+    sets = [0, (1 << size) - 1, 1, 1 << (size - 1)]
+    rng = random.Random(k)
+    sets += [rng.getrandbits(size) for _ in range(20)]
+    for bits in sets:
+        assert _reversed(_lattice(k), bits) == int(format(bits, f"0{size}b")[::-1], 2)
 
 
 def test_build_from_modulus(z30):
