@@ -292,8 +292,11 @@ class Ring:
     def mul(self, a: Element, b: Element) -> Element:
         if not len(a.coords) == len(b.coords) == len(self.qs):
             raise self._length_error(a.coords, b.coords)
+        # disjoint supports, most of the ideal product scan: an integer
+        # product of 0 is 0 modulo every q, so no reduction is needed
+        if not any(map(operator.mul, a.coords, b.coords)):
+            return self._zero
         coords = tuple(map(operator.mod, map(operator.mul, a.coords, b.coords), self.qs))
-        # disjoint supports, most of the ideal product scan, share one zero
         return Element(coords) if any(coords) else self._zero
 
     def _walk(self, ranges: list) -> Iterator[Element]:

@@ -320,7 +320,10 @@ def _ideal_product_is_zero(ring: Ring, mu: int, mv: int) -> tuple[bool, bool | N
 
     The scan multiplies every element pair when there are at most
     PRODUCT_SCAN_LIMIT of them, and is None above that.  The two answers
-    must agree.
+    must agree.  Both member lists are scanned in descending lex order, so
+    that a nonzero product shows first: the first pair has full support in
+    both ideals, and `all` stops there.  A zero answer still multiplies
+    every pair, so the order never changes the answer.
     """
     zero = ring.zero()
     result = ring.mul(_support_generator(ring, mu), _support_generator(ring, mv)) == zero
@@ -331,8 +334,9 @@ def _ideal_product_is_zero(ring: Ring, mu: int, mv: int) -> tuple[bool, bool | N
         size *= ring.qs[i]
     if size > PRODUCT_SCAN_LIMIT:
         return result, None
-    inner = elements_of_ideal(ring, Ideal(mv))
-    scan = all(ring.mul(a, b) == zero for a in elements_of_ideal(ring, Ideal(mu)) for b in inner)
+    inner = elements_of_ideal(ring, Ideal(mv))[::-1]
+    outer = elements_of_ideal(ring, Ideal(mu))[::-1]
+    scan = all(ring.mul(a, b) == zero for a in outer for b in inner)
     return result, scan
 
 

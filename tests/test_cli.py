@@ -201,6 +201,25 @@ class TestVerify:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["D"]
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("export", "--zn", "30", "--graph", "ag", "--output"), ("verify", "--zn", "30", "--report")],
+        ids=["export", "verify"],
+    )
+    @pytest.mark.parametrize(
+        "parent, message",
+        [("missing", "No such file or directory"), ("F", "Not a directory")],
+        ids=["missing-parent", "file-parent"],
+    )
+    def test_bad_parent_names_the_target_not_a_temp_file(self, capsys, tmp_path, argv, parent, message):
+        (tmp_path / "F").write_bytes(b"")
+        target = tmp_path / parent / "x.json"
+        code, out, err = run(capsys, *argv, str(target))
+        assert code == EXIT_INPUT
+        assert f"{message}: '{target}'" in err
+        assert ".tmp" not in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+
     def test_suite_subset_and_unknown(self, capsys):
         code, _, _ = run(capsys, "verify", "--zn", "30", "--suites", "radius,retract")
         assert code == EXIT_OK

@@ -129,6 +129,13 @@ def test_arithmetic_matches_residues(z30):
         for y in (0, 1, 6, 10, 28):
             a, b = z30.from_residue(x), z30.from_residue(y)
             assert z30.mul(a, b) == z30.from_residue((x * y) % 30)
+    # an integer product of 0 returns the shared zero without reducing
+    assert z30.mul(z30.from_residue(10), z30.from_residue(3)) is z30.zero()
+    # unreduced operands: (2,0,0) is nonzero as integers but 0 mod 2, so it
+    # takes the reducing path, and (3,0,0) reduces to (1,0,0) = 15
+    assert z30.mul(Element((2, 1, 1)), Element((1, 0, 0))) == z30.zero()
+    assert z30.mul(Element((3, 1, 1)), Element((1, 0, 0))) == z30.from_residue(15)
+    assert z30.mul(Element((4, 6, 5)), Element((1, 1, 1))) is z30.zero()
 
 
 def test_products_without_a_modulus_render_as_coordinates():

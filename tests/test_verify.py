@@ -241,3 +241,72 @@ def test_generator_scan_disagreement_is_a_record(monkeypatch, capsys):
 
     assert main(["verify", "--zn", "30", "--suites", "adjacency"]) == EXIT_VIOLATIONS
     assert "!! adjacency.ag.generator-scan at " in capsys.readouterr().out
+
+
+def test_adjacency_scan_makes_a_pinned_number_of_products(monkeypatch):
+    from zdgraph.rings import Ring
+
+    true_mul = Ring.mul
+    calls = 0
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        return true_mul(self, a, b)
+
+    monkeypatch.setattr(Ring, "mul", counting_mul)
+    run_verification(build_ring(SquarefreeModulus(510510)), suites=["adjacency"], seed=0)
+    # Exact, not a bound: the seed fixes the sampled pairs, the scan of an
+    # adjacent pair multiplies every element pair, and that of a
+    # non-adjacent pair stops at its first product, the largest members'.
+    # Any change to sampling or to the scan's order moves this number, and
+    # must move it on purpose.
+    assert calls == 121_424
+
+
+def test_descending_scan_still_reaches_the_last_pair(monkeypatch):
+    from zdgraph.cli import EXIT_VIOLATIONS, main
+    from zdgraph.rings import Ring
+
+    true_mul = Ring.mul
+
+    def faulty_mul(self, a, b):
+        # a wrong product only for zero * zero, the last pair the scan makes
+        if not any(a.coords) and not any(b.coords):
+            return self.element((1,) * self.k)
+        return true_mul(self, a, b)
+
+    monkeypatch.setattr(Ring, "mul", faulty_mul)
+    report = run_verification(build_ring(SquarefreeModulus(30)), suites=["adjacency"])
+    found = [r for r in report.records if r.check_id == "adjacency.ag.generator-scan"]
+    assert found
+    for r in found:
+        assert r.verdict is Verdict.VIOLATED and not r.registered
+        assert (r.prediction, r.oracle) == (True, False)
+    assert main(["verify", "--zn", "30", "--suites", "adjacency"]) == EXIT_VIOLATIONS
+
+
+def test_a_wrong_zero_on_the_first_pair_does_not_end_the_scan(monkeypatch):
+    from zdgraph.rings import Ring
+
+    true_mul = Ring.mul
+    hits = 0
+
+    def largest(ring, a):
+        # the lex-largest member of the ideal on its support: q - 1 there, else 0
+        return any(a.coords) and all(c in (0, q - 1) for c, q in zip(a.coords, ring.qs))
+
+    def faulty_mul(self, a, b):
+        # a wrong zero for the first pair every scan makes
+        nonlocal hits
+        if largest(self, a) and largest(self, b):
+            hits += 1
+            return self.zero()
+        return true_mul(self, a, b)
+
+    monkeypatch.setattr(Ring, "mul", faulty_mul)
+    report = run_verification(build_ring(SquarefreeModulus(2310)), suites=["adjacency"])
+    ag = [r for r in report.records if r.check_id.startswith("adjacency.ag")]
+    assert hits and any(r.oracle is False for r in ag)
+    assert {r.check_id for r in ag} == {"adjacency.ag"}
+    assert all(r.verdict is Verdict.CONFIRMED for r in ag)
