@@ -217,13 +217,15 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .edge_cases import load_registry
-    from .verify import run_verification
+    from .verify import run_verification, select_suites
 
-    ring = _ring_from_args(args)
+    # bad arguments fail before the ring, which for a table may take a while to load
+    suites = select_suites(_parse_suites(args.suites), args.pair_cap)
     registry = load_registry(args.registry) if args.registry else None
+    ring = _ring_from_args(args)
     report = run_verification(
         ring,
-        suites=_parse_suites(args.suites),
+        suites=suites,
         seed=args.seed,
         per_signature_cap=args.pair_cap,
         registry=registry,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 
 from .errors import (
@@ -200,6 +201,48 @@ def _check_commutative_group(t: TableRing, zero: int) -> None:
             raise NotCommutative((x, y))
 
 
+# Consecutive coordinates share one code while their residues number at most
+# this many; a larger prime gets a code of its own.
+_CODE_RESIDUES = 128
+
+
+def _code_table(radices: list[int], op) -> list[list[int]]:
+    """op, coordinatewise modulo radices, on mixed-radix codes (last coordinate fastest)."""
+    table = [[0]]
+    for q in radices:
+        residues = range(q)
+        own = [[op(a, b) % q for b in residues] for a in residues]
+        table = [[a * q + b for a in high for b in low] for high in table for low in own]
+    return table
+
+
+def _codes(qs: tuple[int, ...], iso: list[tuple[int, ...]]) -> list[tuple]:
+    """(c, shift, scale) for each packed code of the coordinates.
+
+    c[x] is the code of element x; shift[a] and scale[a] are the tuples of
+    the codes of a + c[y] and a * c[y] over every y.
+    """
+    groups: list[list[int]] = []
+    for i, q in enumerate(qs):
+        if groups and math.prod(qs[j] for j in groups[-1]) * q <= _CODE_RESIDUES:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    codes = []
+    for group in groups:
+        c = [0] * len(iso)
+        for i in group:
+            c = [v * qs[i] + coords[i] for v, coords in zip(c, iso)]
+        # a ring with a coordinate has at least two elements, so gather
+        # returns a tuple
+        gather = operator.itemgetter(*c)
+        radices = [qs[i] for i in group]
+        shift = list(map(gather, _code_table(radices, operator.add)))
+        scale = list(map(gather, _code_table(radices, operator.mul)))
+        codes.append((c, shift, scale))
+    return codes
+
+
 def _split(t: TableRing, zero: int) -> Ring:
     """The decomposition proper, for tables whose add row zero is the identity."""
     n = t.size
@@ -271,24 +314,20 @@ def _split(t: TableRing, zero: int) -> Ring:
         raise DecompositionMismatch("coordinate map is not injective")
 
     # round trip: the tables must agree with coordinatewise arithmetic, a
-    # whole row at a time.  In coordinate i, with c[x] = iso[x][i], row x of
-    # add agrees when c[add[x][y]] == (c[x] + c[y]) % q for every y: mapping
-    # c over the row gives shift[c[x]].  Likewise mul with scale.  Their
-    # entries are read out of one residue list, so a large prime factor
-    # costs pointers, not an int object per entry.
-    coordinates = []
-    for i, q in enumerate(qs):
-        c = [coords_x[i] for coords_x in iso]
-        residues = list(range(q))
-        shift = [list(map((residues[a:] + residues[:a]).__getitem__, c)) for a in residues]
-        scale = [list(map([residues[a * b % q] for b in residues].__getitem__, c)) for a in residues]
-        coordinates.append((c, shift, scale))
+    # whole row at a time.  Consecutive coordinates are packed into one
+    # mixed-radix code (_codes); a code is a bijection on its coordinates, so
+    # a row agrees in every coordinate exactly when it agrees in every code.
+    # With c[x] the code of x, row x of add agrees when c[add[x][y]] is the
+    # code of c[x] + c[y] for every y: gathering c at the row's entries gives
+    # shift[c[x]].  Likewise mul with scale.  Each row is gathered in C, one
+    # itemgetter per table, and compared tuple against tuple.  A table of
+    # size 1 has no coordinates, so its one-entry rows (whose itemgetter
+    # would return a bare item) are never compared.
+    codes = _codes(qs, iso)
     for x in range(n):
         arow, mrow = add[x], mul[x]
-        if all(
-            list(map(c.__getitem__, arow)) == shift[c[x]] and list(map(c.__getitem__, mrow)) == scale[c[x]]
-            for c, shift, scale in coordinates
-        ):
+        gather_add, gather_mul = operator.itemgetter(*arow), operator.itemgetter(*mrow)
+        if all(gather_add(c) == shift[c[x]] and gather_mul(c) == scale[c[x]] for c, shift, scale in codes):
             continue
         # the first row that disagrees: name its first bad entry, add before mul
         ix = iso[x]

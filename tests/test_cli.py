@@ -282,6 +282,27 @@ class TestVerify:
         assert "add entry True is not an index below 2" in err
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--pair-cap", "0"), "pair cap must be at least 1, got 0"),
+            (("--suites", ","), "--suites given but empty"),
+            (("--suites", "nope"), "unknown suites: nope"),
+            (("--registry", "absent.json"), "absent.json"),
+        ],
+        ids=["pair-cap", "empty-suites", "unknown-suite", "missing-registry"],
+    )
+    def test_bad_arguments_fail_before_the_table_is_read(self, capsys, tmp_path, monkeypatch, option, message):
+        # the table is bad too, so the message shows which was checked first
+        monkeypatch.chdir(tmp_path)
+        doc = table_to_json(zn_tables(2))
+        doc["add"][0][1] = 7
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--table", "bad.json", *option)
+        assert code == EXIT_INPUT
+        assert message in err and "add entry" not in err
+        assert "Traceback" not in err and out == ""
+
     def test_missing_table_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--table", str(tmp_path / "absent.json"))
         assert code == EXIT_INPUT

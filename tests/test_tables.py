@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 
@@ -223,6 +224,71 @@ def test_tables_that_decompose_skip_the_commutativity_scan(t, monkeypatch):
 
     monkeypatch.setattr(tables, "_check_commutative_group", fail)
     assert _outcome(decompose_table_ring, t) == _outcome(reference_engines.decompose_table_ring, t)
+
+
+@pytest.mark.parametrize(
+    "qs, sizes",
+    [
+        ((7,), [7]),
+        ((2, 2, 3, 3), [36]),
+        ((2, 3, 5), [30]),
+        ((2, 3, 5, 7), [30, 7]),
+        ((2, 5, 13), [10, 13]),
+        ((11, 13), [11, 13]),
+        ((2, 5, 7, 11), [70, 11]),
+        ((131,), [131]),
+    ],
+)
+def test_coordinates_pack_into_codes_of_at_most_128_residues(qs, sizes):
+    iso = list(itertools.product(*map(range, qs)))
+    assert [len(shift) for _, shift, _ in tables._codes(qs, iso)] == sizes
+
+
+# one code (a single coordinate, or several), and several codes of one or
+# more coordinates each, with repeated primes among them
+PACKED_CASES = [
+    relabelled(product_tables((7,)), 7),
+    relabelled(product_tables((2, 2, 3, 3)), 36),
+    relabelled(zn_tables(30), 31),
+    relabelled(zn_tables(210), 211),
+    relabelled(zn_tables(130), 130),
+    relabelled(product_tables((11, 13)), 143),
+]
+
+
+@pytest.mark.parametrize("t", PACKED_CASES, ids=lambda t: f"n{t.size}")
+def test_rows_of_valid_tables_pass_the_packed_check(t):
+    # a row that fails the packed check is rescanned entry by entry, which
+    # gives the same answer, so only this test sees a check that fails rows
+    # it should pass
+    ring = decompose_table_ring(t)
+    for c, shift, scale in tables._codes(ring.qs, list(ring.table_iso)):
+        for x in range(t.size):
+            assert tuple(c[v] for v in t.add[x]) == shift[c[x]]
+            assert tuple(c[v] for v in t.mul[x]) == scale[c[x]]
+
+
+@pytest.mark.parametrize("t", PACKED_CASES, ids=lambda t: f"n{t.size}")
+def test_packed_round_trip_matches_entry_scan(t):
+    """A symmetric entry pair off in any one coordinate is named as the entry scan names it.
+
+    The pair (x, y) lies off the diagonal and outside the idempotent rows,
+    so every check before the round trip passes and the scan names (x, y).
+    """
+    ring = decompose_table_ring(t)
+    qs, iso = ring.qs, ring.table_iso
+    index = {coords: x for x, coords in enumerate(iso)}
+    idempotents = {x for x in range(t.size) if t.mul[x][x] == x}
+    x, y = [v for v in range(t.size) if v not in idempotents][:2]
+    for name in ("add", "mul"):
+        right = iso[getattr(t, name)[x][y]]
+        for i, q in enumerate(qs):
+            wrong = index[(*right[:i], (right[i] + 1) % q, *right[i + 1:])]
+            bad = _corrupted(t, (name, x, y, wrong), (name, y, x, wrong))
+            outcome = _outcome(decompose_table_ring, bad)
+            assert outcome == _outcome(reference_engines.decompose_table_ring, bad)
+            assert outcome[0] is DecompositionMismatch
+            assert outcome[1] == (f"coordinatewise operations disagree with tables at {(x, y, name)}",)
 
 
 @pytest.mark.parametrize("n", [30, 210, 330])
