@@ -31,13 +31,11 @@ class NotCommutative(RingConstructionError):
 
 
 class NotUnital(RingConstructionError):
-    def __init__(self, detail: str = "no multiplicative identity found"):
-        super().__init__(detail)
+    """The identity index of a table ring is not a multiplicative identity."""
 
 
 class NotAdditiveGroup(RingConstructionError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """The addition table of a table ring is not a commutative group."""
 
 
 class FactorNotField(RingConstructionError):

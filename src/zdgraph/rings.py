@@ -252,7 +252,11 @@ class Ring:
         return (1 << self.k) - 1
 
     def describe(self) -> dict:
-        """Canonical JSON-able descriptor; identical for isomorphic inputs."""
+        """JSON-able descriptor: the factors in coordinate order.
+
+        A modulus or a table gives them in ascending order, but `PrimeFactors`
+        keeps its own, so two orders of one ring describe differently.
+        """
         return {"kind": "product-of-prime-fields", "factors": list(self.qs)}
 
     # -- element constructors ------------------------------------------------
@@ -298,10 +302,6 @@ class Ring:
             return self._zero
         coords = tuple(map(operator.mod, map(operator.mul, a.coords, b.coords), self.qs))
         return Element(coords) if any(coords) else self._zero
-
-    def _walk(self, ranges: list) -> Iterator[Element]:
-        """The elements with coordinate i in ranges[i] (reduced residues), in lex order."""
-        return map(Element, itertools.product(*ranges))
 
 
 # ---------------------------------------------------------------------------
@@ -405,4 +405,5 @@ def elements_of_ideal(ring: Ring, ideal: Ideal) -> list[Element]:
     size = math.prod(ring.qs[i] for i in iter_bits(ideal.mask))
     if size > ELEMENT_CAP:
         raise TooManyElements(size, ELEMENT_CAP)
-    return list(ring._walk([range(q) if ideal.mask >> i & 1 else (0,) for i, q in enumerate(ring.qs)]))
+    ranges = [range(q) if ideal.mask >> i & 1 else (0,) for i, q in enumerate(ring.qs)]
+    return list(map(Element, itertools.product(*ranges)))

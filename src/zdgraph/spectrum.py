@@ -25,7 +25,6 @@ from .rings import (
     annihilator_element,
     iter_bits,
     render_support,
-    submasks,
 )
 
 
@@ -201,21 +200,22 @@ class RetractReport:
 def retract_check(ring: Ring) -> RetractReport:
     """Check that I -> sz_closure(I) retracts the ideal graph onto itself.
 
-    Each closure is computed once.  `pre[t]` is the set of members whose
-    closure is t, as a bitset.  For each member a, two sets of the members b
-    above a are compared: `direct`, the b disjoint from a, which are the
-    submasks of a's complement, and `closed`, the b whose closure is
-    disjoint from a's, which is pre[t] gathered over the submasks t of the
-    complement of a's closure, zero included.  An edge is preserved when
-    the closures are disjoint and distinct.  For the identity closure, both
-    walks cost O(3^k) over all members.
+    Each closure is computed once, and `pre[t]` is the set of members whose
+    closure is t, as a bitset.  For each member a, two sets of the members
+    above a are compared, each the members that miss every coordinate of a
+    mask: `direct` misses a's coordinates, and `closed` those of a's closure
+    in their own closure.  An edge is preserved when the closures are
+    disjoint and distinct.  Each member costs O(k) big-int operations.
     """
     members = annihilating_ideals(ring)
-    full = ring.full_mask
     phi = {I.mask: sz_closure(ring, I).mask for I in members}
-    pre = [0] * (full + 1)
+    pre: dict[int, int] = {}
     for m, p in phi.items():
-        pre[p] |= 1 << m
+        pre[p] = pre.get(p, 0) | 1 << m
+    # all but the masks with bit i, and all but the members whose closure has it
+    missing = [~h for h in _lattice(ring.k)[1]]
+    unmet = [~sum(s for t, s in pre.items() if t >> i & 1) for i in range(ring.k)]
+    family = sum(pre.values())
 
     failures = []
     for I in members:
@@ -227,12 +227,11 @@ def retract_check(ring: Ring) -> RetractReport:
     mismatch = None
     for I in members:
         a, p = I.mask, phi[I.mask]
-        above = -(2 << a)  # the masks above a
-        direct = sum(1 << b for b in submasks(full & ~a)) & above
-        closed = pre[0]
-        for t in submasks(full & ~p):
-            closed |= pre[t]
-        closed &= above
+        direct = closed = family & -(2 << a)  # the members above a
+        for i in iter_bits(a):
+            direct &= missing[i]
+        for i in iter_bits(p):
+            closed &= unmet[i]
         if mismatch is None and direct != closed:
             mismatch = (a, _lowest(direct ^ closed))
         for b in iter_bits(direct & (~closed | pre[p])):

@@ -27,6 +27,12 @@ closures and edges, then the suite's own pairwise loop over the
 annihilating ideals for the adjacency biconditional, which multiplies
 each pair and each pair of closures with `ideal_product`.  They are copied
 verbatim.
+
+`retract_walk` is the one-pass retract check from before it read both of
+its sets per coordinate: for each member it walks the submasks of two
+complements, O(3^k) in all.  It is copied verbatim; the only edits are
+its name and its report class, `spectrum.RetractReport` imported as
+`WalkReport`, since the older `RetractReport` above takes that name here.
 """
 
 from __future__ import annotations
@@ -63,11 +69,13 @@ from zdgraph.rings import (
     Ring,
     TableRing,
     _is_prime,
+    _lowest,
     annihilating_ideals,
     ideal_product,
     iter_bits,
     submasks,
 )
+from zdgraph.spectrum import RetractReport as WalkReport
 from zdgraph.spectrum import sz_closure
 from zdgraph.tables import _find_zero
 from zdgraph.verify import _rec, _wit
@@ -472,3 +480,51 @@ def _suite_retract(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int
         if not both:
             break
     out.append(_rec("retract.adjacency-biconditional", True, both, bad, both))
+
+
+def retract_walk(ring: Ring) -> WalkReport:
+    """Check that I -> sz_closure(I) retracts the ideal graph onto itself.
+
+    Each closure is computed once.  `pre[t]` is the set of members whose
+    closure is t, as a bitset.  For each member a, two sets of the members b
+    above a are compared: `direct`, the b disjoint from a, which are the
+    submasks of a's complement, and `closed`, the b whose closure is
+    disjoint from a's, which is pre[t] gathered over the submasks t of the
+    complement of a's closure, zero included.  An edge is preserved when
+    the closures are disjoint and distinct.  For the identity closure, both
+    walks cost O(3^k) over all members.
+    """
+    members = annihilating_ideals(ring)
+    full = ring.full_mask
+    phi = {I.mask: sz_closure(ring, I).mask for I in members}
+    pre = [0] * (full + 1)
+    for m, p in phi.items():
+        pre[p] |= 1 << m
+
+    failures = []
+    for I in members:
+        p = phi[I.mask]
+        if (phi[p] if p in phi else sz_closure(ring, Ideal(p)).mask) != p:
+            failures.append(f"closure of {I.render(ring)} is not fixed")
+    unfixed = len(failures)
+
+    mismatch = None
+    for I in members:
+        a, p = I.mask, phi[I.mask]
+        above = -(2 << a)  # the masks above a
+        direct = sum(1 << b for b in submasks(full & ~a)) & above
+        closed = pre[0]
+        for t in submasks(full & ~p):
+            closed |= pre[t]
+        closed &= above
+        if mismatch is None and direct != closed:
+            mismatch = (a, _lowest(direct ^ closed))
+        for b in iter_bits(direct & (~closed | pre[p])):
+            failures.append(f"edge {I.render(ring)}-{Ideal(b).render(ring)} not preserved")
+    return WalkReport(
+        is_identity=all(p == m for m, p in phi.items()),
+        preserves_adjacency=len(failures) == unfixed,
+        image_is_fixed=unfixed == 0,
+        failures=tuple(failures),
+        adjacency_mismatch=mismatch,
+    )

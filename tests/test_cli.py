@@ -35,6 +35,15 @@ class TestInspect:
         assert code == EXIT_OK
         assert json.loads(out)["ring"]["factors"] == [3, 3]
 
+    def test_fields_keep_the_given_order(self, capsys):
+        # two orders of one ring describe differently; only --zn sorts
+        rings = []
+        for args in (("--fields", "3,2,5"), ("--fields", "2,3,5"), ("--zn", "30")):
+            code, out, _ = run(capsys, "inspect", *args, "--json")
+            assert code == EXIT_OK
+            rings.append(json.loads(out)["ring"]["factors"])
+        assert rings == [[3, 2, 5], [2, 3, 5], [2, 3, 5]]
+
     def test_field_has_empty_graphs(self, capsys):
         # a field has no zero divisors; inspect succeeds with null graphs
         code, out, _ = run(capsys, "inspect", "--zn", "7", "--json")

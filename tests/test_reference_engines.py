@@ -18,9 +18,10 @@ Radius and diameter from one BFS per class size must equal the min and
 max of the per-class eccentricities, and maximality by the lattice
 transform must equal the pairwise inclusion scan, at k <= 8.
 
-The one-pass retract check must give the submask walk's report and the
-pairwise loop's three `retract.*` records, verdicts and witnesses
-included, for the real closure and for faulty closures, at k <= 7.
+The per-coordinate retract check must give the submask walk's report,
+every field included, for the real closure and for faulty closures, at
+k <= 10, and the pairwise loop's three `retract.*` records, verdicts and
+witnesses included, at k <= 7.
 """
 
 import math
@@ -262,6 +263,7 @@ def test_retract_matches_submask_walk_and_pairwise_loop(qs, monkeypatch):
         for module in (spectrum, reference_engines):
             monkeypatch.setattr(module, "sz_closure", closure)
         new, old = retract_check(ring), reference_engines.retract_check(ring)
+        assert new == reference_engines.retract_walk(ring), name
         fields = ("is_identity", "preserves_adjacency", "image_is_fixed", "failures")
         assert [getattr(new, f) for f in fields] == [getattr(old, f) for f in fields], name
         records, expected = [], []
@@ -270,3 +272,20 @@ def test_retract_matches_submask_walk_and_pairwise_loop(qs, monkeypatch):
         assert [r.to_dict() for r in records] == [r.to_dict() for r in expected], name
         biconditional.add(records[2].verdict)
     assert biconditional == {Verdict.CONFIRMED, Verdict.VIOLATED}
+
+
+# the pairwise loop is O(4^k), so these larger rings meet the walk only
+WALK_RINGS = [(2, 3, 5, 7, 11, 13, 17, 19, 23, 29)[:k] for k in range(8, 11)]
+
+
+@pytest.mark.parametrize("qs", WALK_RINGS, ids=["x".join(map(str, qs)) for qs in WALK_RINGS])
+def test_retract_matches_submask_walk_at_k_8_to_10(qs, monkeypatch):
+    ring = build_ring(PrimeFactors(qs))
+    outcomes = set()
+    for name, closure in _closure_faults(ring, random.Random(len(qs))):
+        for module in (spectrum, reference_engines):
+            monkeypatch.setattr(module, "sz_closure", closure)
+        new = retract_check(ring)
+        assert new == reference_engines.retract_walk(ring), name
+        outcomes.add((new.image_is_fixed, new.preserves_adjacency, new.adjacency_mismatch is None))
+    assert {(True, True, True), (True, False, False), (False, False, False)} <= outcomes

@@ -176,7 +176,23 @@ def corrupted_product_tables(draw):
 
     An overwrite sets one add or mul entry, and with it the mirrored entry
     when it is symmetric.  Sometimes the identity index is replaced too.
+
+    Or F3 x F7 x F7, which packs as two codes, F3 x F7 and F7, with one
+    entry off the diagonal and outside the idempotent rows overwritten by
+    the element that agrees with the right one in every coordinate but the
+    last: every check before the round trip passes, and only the second
+    code sees the change.
     """
+    if draw(st.booleans()):
+        qs = (3, 7, 7)
+        t = _product_tables(qs)  # last coordinate fastest: index % 7 is the last coordinate
+        non_idempotent = [x for x, coords in enumerate(itertools.product(*map(range, qs))) if max(coords) > 1]
+        x, y = draw(st.lists(st.sampled_from(non_idempotent), min_size=2, max_size=2, unique=True))
+        name = draw(st.sampled_from(("add", "mul")))
+        right = getattr(t, name)[x][y]
+        wrong = right - right % 7 + (right + draw(st.integers(1, 6))) % 7
+        changes = [(name, x, y, wrong)] + ([(name, y, x, wrong)] if draw(st.booleans()) else [])
+        return relabelled(_corrupted(t, *changes), draw(st.integers(0, 2**16)))
     qs = tuple(sorted(draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=3))))
     t = relabelled(_product_tables(qs), draw(st.integers(0, 2**16)))
     n = t.size
