@@ -22,7 +22,7 @@ from .errors import (
     TooManyFactors,
     ZdgraphError,
 )
-from .exports import graph_to_dot, graph_to_json, json_bytes, write_bytes_atomic
+from .exports import check_target, graph_to_dot, graph_to_json, json_bytes, write_bytes_atomic
 from .rings import (
     DEFAULT_MAX_FACTORS,
     PrimeFactors,
@@ -205,6 +205,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from .graphs import build_ag, build_gamma
 
+    if args.output:
+        check_target(args.output)
     ring = _ring_from_args(args)
     G = build_gamma(ring) if args.graph == "gamma" else build_ag(ring)
     if args.format == "dot":
@@ -222,6 +224,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # bad arguments fail before the ring, which for a table may take a while to load
     suites = select_suites(_parse_suites(args.suites), args.pair_cap)
     registry = load_registry(args.registry) if args.registry else None
+    if args.report:
+        check_target(args.report)
     ring = _ring_from_args(args)
     report = run_verification(
         ring,

@@ -79,17 +79,23 @@ def graph_to_dot(G: GraphView, compressed: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_bytes_atomic(path: str | Path, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+def check_target(path: str | Path) -> Path:
+    """`path` as a file to write; a directory, or a missing or non-directory parent, raises under its name.
+
+    Commands call this before any work; `write_bytes_atomic` before its temp file, which would misname it.
+    """
     target = Path(path)
-    # checked first, so errors name the target: the sibling of a path such
-    # as "out/" lies outside it, and a missing parent would be reported
-    # under the temp file's name
     if target.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     if not target.parent.is_dir():
         code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
         raise OSError(code, os.strerror(code), str(target))
+    return target
+
+
+def write_bytes_atomic(path: str | Path, data: bytes) -> None:
+    """Write via a sibling temp file and rename, so readers never see a torn file."""
+    target = check_target(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)

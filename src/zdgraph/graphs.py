@@ -65,15 +65,11 @@ class GraphView:
             )
         self.kind = kind
         self.ring = ring
-        full = ring.full_mask
+        self.full_mask = full = ring.full_mask
         self.classes: tuple[int, ...] = tuple(range(1, full))
         self.sizes: tuple[int, ...] = ring.qs if kind == GAMMA else (2,) * ring.k
         # the class of mask m has prod(q_i - 1) elements over the bits i of m
         self.weights: tuple[int, ...] = tuple(subset_products([q - 1 for q in self.sizes])[1:-1])
-
-    @property
-    def full_mask(self) -> int:
-        return self.ring.full_mask
 
     def weight(self, mask: int) -> int:
         if not 0 < mask < self.full_mask:

@@ -137,6 +137,7 @@ def _reversed(lat: tuple[int, tuple[int, ...], int], bits: int) -> int:
     return flipped >> (8 * nbytes - (1 << len(has)))
 
 
+@functools.cache
 def render_support(mask: int) -> str:
     inside = ",".join(str(i + 1) for i in iter_bits(mask))
     return "{" + inside + "}"
@@ -222,6 +223,8 @@ class Ring:
     it must be the product of `qs` and `label` renders elements as residues
     by CRT.  `table_iso` maps table indices to coordinate tuples when the ring
     came from tables; it is not compared, so rings with equal factors are equal.
+    `k` and `full_mask` are computed once, at construction: the engine reads
+    them for every record.
     """
 
     qs: tuple[int, ...]
@@ -229,6 +232,8 @@ class Ring:
     table_iso: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
     _crt_basis: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _zero: Element = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # basis[i] = (n/qi) * inverse(n/qi mod qi), so coords map back by a dot product
@@ -238,18 +243,12 @@ class Ring:
         basis = () if n is None else tuple(n // q * pow(n // q, -1, q) % n for q in self.qs)
         object.__setattr__(self, "_crt_basis", basis)
         object.__setattr__(self, "_zero", Element((0,) * len(self.qs)))
-
-    @property
-    def k(self) -> int:
-        return len(self.qs)
+        object.__setattr__(self, "k", len(self.qs))
+        object.__setattr__(self, "full_mask", (1 << self.k) - 1)
 
     @property
     def size(self) -> int:
         return math.prod(self.qs)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.k) - 1
 
     def describe(self) -> dict:
         """JSON-able descriptor: the factors in coordinate order.

@@ -15,6 +15,7 @@ package version always produce byte-identical JSON.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections.abc import Sequence
@@ -23,7 +24,6 @@ from enum import Enum
 
 from .edge_cases import Registry, load_registry
 from .errors import InputFormatError
-from .exports import json_bytes
 from .graphs import (
     GraphView,
     Vertex,
@@ -89,6 +89,33 @@ def _render(value: object) -> object:
     return str(value)
 
 
+def _json(value: object, indent: str) -> str:
+    """`value` as `json_bytes` writes it `indent` deep: exact, as encoded strings hold no raw newline."""
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
+
+
+_string = json.encoder.encode_basestring
+_VERDICT_JSON = {v: _string(v.value) for v in Verdict}
+
+
+def _value(value: object) -> str:
+    """A prediction or oracle, `_render`ed, in JSON; common scalars skip `json.dumps`."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return _json(_render(value), "      ")
+
+
+# one record of a report's "records" array, its keys in sorted order
+_RECORD = (
+    '    {\n      "check_id": %s,\n      "note": %s,\n      "oracle": %s,\n      "prediction": %s,\n'
+    '      "registered": %s,\n      "verdict": %s,\n      "witness": %s\n    }'
+)
+
+
 @dataclass
 class CheckRecord:
     check_id: str
@@ -109,6 +136,18 @@ class CheckRecord:
             "registered": self.registered,
             "note": self.note,
         }
+
+    def to_json(self) -> str:
+        """The record as `to_json_bytes` lists it: `json_bytes` of `to_dict`, two levels deep."""
+        return _RECORD % (
+            _string(self.check_id),
+            "null" if self.note is None else _string(self.note),
+            _value(self.oracle),
+            _value(self.prediction),
+            "true" if self.registered else "false",
+            _VERDICT_JSON[self.verdict],
+            _string(self.witness),
+        )
 
 
 @dataclass
@@ -138,8 +177,7 @@ class VerificationReport:
             r.verdict is Verdict.VIOLATED and not r.registered for r in self.records
         )
 
-    def to_dict(self) -> dict:
-        recs = sorted(self.records, key=lambda r: (r.check_id, r.witness))
+    def _document(self, records: list) -> dict:
         return {
             "format": REPORT_FORMAT,
             "generator": {"name": "zdgraph", "version": __version__},
@@ -147,11 +185,24 @@ class VerificationReport:
             "suites": list(self.suites),
             "seed": self.seed,
             "summary": self.counts(),
-            "records": [r.to_dict() for r in recs],
+            "records": records,
         }
 
+    def _sorted_records(self) -> list[CheckRecord]:
+        return sorted(self.records, key=lambda r: (r.check_id, r.witness))
+
+    def to_dict(self) -> dict:
+        return self._document([r.to_dict() for r in self._sorted_records()])
+
     def to_json_bytes(self) -> bytes:
-        return json_bytes(self.to_dict())
+        """The bytes of `exports.json_bytes(self.to_dict())`, written without building that dict."""
+        # the envelope's "records": [] sits on a line of its own, two spaces
+        # deep, where no nested key or encoded string can match it
+        text = _json(self._document([]), "")
+        records = ",\n".join([r.to_json() for r in self._sorted_records()])
+        if records:
+            text = text.replace('\n  "records": []', '\n  "records": [\n' + records + "\n  ]", 1)
+        return (text + "\n").encode("utf-8")
 
     def summary_lines(self) -> list[str]:
         c = self.counts()
@@ -164,7 +215,7 @@ class VerificationReport:
             "  violated (UNREGISTERED) {violated}".format(**c),
             "  not applicable       {not_applicable}".format(**c),
         ]
-        for r in sorted(self.records, key=lambda r: (r.check_id, r.witness)):
+        for r in self._sorted_records():
             if r.verdict is Verdict.VIOLATED and not r.registered:
                 lines.append(f"  !! {r.check_id} at {r.witness}: predicted {r.prediction}, got {r.oracle}")
         return lines

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from zdgraph import InternalInconsistency, SquarefreeModulus, Vertex, build_gamma, build_ring, girth_through
-from zdgraph import graphs
+from zdgraph import cli, graphs
 from zdgraph.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATIONS, main
 from zdgraph.tables import table_to_json, zn_tables
 
@@ -14,6 +14,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def refuse_ring_building(monkeypatch):
+    """Make building the command's ring fail the test: a bad output target is refused before it."""
+
+    def refuse(args):
+        raise AssertionError("the ring was built before the output target was checked")
+
+    monkeypatch.setattr(cli, "_ring_from_args", refuse)
 
 
 class TestInspect:
@@ -200,9 +209,10 @@ class TestVerify:
         [("export", "--zn", "30", "--graph", "gamma", "--output"), ("verify", "--zn", "30", "--report")],
         ids=["export", "verify"],
     )
-    def test_directory_target_is_refused_before_any_temp_file(self, capsys, tmp_path, argv):
+    def test_directory_target_is_refused_before_any_temp_file(self, capsys, tmp_path, monkeypatch, argv):
         target = tmp_path / "D"
         target.mkdir()
+        refuse_ring_building(monkeypatch)
         code, out, err = run(capsys, *argv, f"{target}{os.sep}")
         assert code == EXIT_INPUT
         assert f"Is a directory: '{target}'" in err
@@ -220,8 +230,11 @@ class TestVerify:
         [("missing", "No such file or directory"), ("F", "Not a directory")],
         ids=["missing-parent", "file-parent"],
     )
-    def test_bad_parent_names_the_target_not_a_temp_file(self, capsys, tmp_path, argv, parent, message):
+    def test_bad_parent_names_the_target_not_a_temp_file(
+        self, capsys, tmp_path, monkeypatch, argv, parent, message
+    ):
         (tmp_path / "F").write_bytes(b"")
+        refuse_ring_building(monkeypatch)
         target = tmp_path / parent / "x.json"
         code, out, err = run(capsys, *argv, str(target))
         assert code == EXIT_INPUT

@@ -13,7 +13,10 @@ from zdgraph import (
     load_registry,
     run_verification,
 )
+from zdgraph.corpus import squarefree_moduli
 from zdgraph.edge_cases import RegistryEntry
+from zdgraph.exports import json_bytes
+from zdgraph.verify import CheckRecord, VerificationReport
 
 
 def violated(report):
@@ -197,6 +200,61 @@ class TestReportShape:
         report = run_verification(z30, seed=7)
         text = "\n".join(report.summary_lines())
         assert "confirmed" in text and "violated" in text
+
+
+# text that JSON must escape, or that a %-template or a naive writer might mangle
+AWKWARD = 'a "quote", a \\ backslash,\na newline,\ta tab, 100% \x00 and Ωμέγα ∅'
+
+
+def _hand_built_reports():
+    # every `_render` branch: bool, None, int, str, an integral and a
+    # non-integral float, inf, list, tuple, set, a nested dict and an object
+    # rendered by str(); records out of (check_id, witness) order
+    values = [
+        True, False, None, 0, -7, 10**30, AWKWARD, 2.0, 0.25, float("inf"), -float("inf"),
+        [1, [2.5, "x"], []], (3, 1.0), {3, 1, 2}, frozenset({"b", "a"}), {},
+        {2: [float("inf"), None], "a": {"b": (AWKWARD, 4.0)}, "": set()}, 1 + 2j,
+    ]
+    records = [
+        CheckRecord("z.last", Verdict.CONFIRMED, v, values[-1 - i], f"w{i % 3}", i % 2 == 0, (None, AWKWARD)[i % 2])
+        for i, v in enumerate(values)
+    ]
+    records.append(CheckRecord(AWKWARD, Verdict.VIOLATED, AWKWARD, None, AWKWARD, True, AWKWARD))
+    records.append(CheckRecord("a.first", Verdict.NOT_APPLICABLE, None, None, "", False, None))
+    ring = {"kind": "product-of-prime-fields", "factors": [2, 3]}
+    return [
+        VerificationReport(ring=ring, suites=("radius", "spectrum"), seed=5, records=records),
+        VerificationReport(ring={"kind": AWKWARD, "factors": []}, suites=(), seed=-1, records=[]),
+    ]
+
+
+class TestReportWriter:
+    """`to_json_bytes` writes from a record template; `json_bytes(to_dict())` is its reference."""
+
+    @staticmethod
+    def mismatches(reports):
+        return [(r.ring, r.seed) for r in reports if r.to_json_bytes() != json_bytes(r.to_dict())]
+
+    def test_canonical_corpus(self, corpus):
+        assert self.mismatches(run_verification(ring, seed=s) for ring in corpus for s in range(3)) == []
+
+    def test_batch_300(self):
+        rings = [build_ring(SquarefreeModulus(n)) for n in squarefree_moduli(300)]
+        assert self.mismatches(run_verification(ring, seed=0) for ring in rings) == []
+
+    def test_seven_factors(self):
+        ring = build_ring(SquarefreeModulus(510510))
+        assert self.mismatches(run_verification(ring, seed=s) for s in range(3)) == []
+
+    def test_hand_built_reports(self):
+        reports = _hand_built_reports()
+        assert self.mismatches(reports) == []
+        doc = json.loads(reports[0].to_json_bytes())
+        assert doc["records"][0] == {
+            "check_id": AWKWARD, "verdict": "Violated", "prediction": AWKWARD, "oracle": None,
+            "witness": AWKWARD, "registered": True, "note": AWKWARD,
+        }
+        assert [r["check_id"] for r in doc["records"][1:3]] == ["a.first", "z.last"]
 
 
 class TestNativeVsTable:
