@@ -76,7 +76,6 @@ _EXPORTS = {
         "build_ring",
         "enumerate_ideals",
         "factor_squarefree",
-        "ideal_contains",
         "ideal_product",
     ),
     "spectrum": (

@@ -66,7 +66,7 @@ class GraphView:
         self.kind = kind
         self.ring = ring
         self.full_mask = full = ring.full_mask
-        self.classes: tuple[int, ...] = tuple(range(1, full))
+        self.classes = range(1, full)
         self.sizes: tuple[int, ...] = ring.qs if kind == GAMMA else (2,) * ring.k
         # the class of mask m has prod(q_i - 1) elements over the bits i of m
         self.weights: tuple[int, ...] = tuple(subset_products([q - 1 for q in self.sizes])[1:-1])
@@ -80,11 +80,11 @@ class GraphView:
         return sum(self.weights)
 
     def edge_count(self) -> int:
-        # reach[s] counts the elements (ideals) supported inside s, zero
-        # included, and class m reaches inside full - m, so its degree is
-        # reach[full - m] - 1; the classes are m = 1 .. full - 1 in order
-        reach = subset_products(self.sizes)
-        return (sum(map(operator.mul, self.weights, reach[-2:0:-1])) - self.vertex_count()) // 2
+        # ordered pairs of elements with disjoint supports: at each coordinate
+        # one of the two is zero, 2q - 1 ways; less the pairs with a zero
+        # element, then each edge once
+        zero_pairs = 2 * math.prod(self.sizes) - 1
+        return (math.prod(2 * q - 1 for q in self.sizes) - zero_pairs) // 2
 
     def degree_of_mask(self, mask: int) -> int:
         """Number of neighbors: everything supported inside the complement."""
@@ -223,11 +223,14 @@ def _eccentricities(G: GraphView) -> set[int]:
     depends only on its size, and the classes of size r share the depth of
     (1 << r) - 1.  Copies of a class are two apart (its complement is a
     neighbor), so a class of weight 2 or more is at least 2 from itself.
-    One pass over the classes collects the (size, weight >= 2) pairs.
+    A class has one copy when all its coordinates have size 2.  With t such
+    coordinates, the sizes 1 .. min(t, k - 1) occur with one copy, and when
+    t < k every size 1 .. k - 1 occurs with copies.
     """
-    depth = [0] + [_class_depth(G, (1 << r) - 1) for r in range(1, G.ring.k)]
-    kinds = set(zip(map(int.bit_count, G.classes), map((2).__le__, G.weights)))
-    return {max(depth[r], 2) if copies else depth[r] for r, copies in kinds}
+    k, t = G.ring.k, G.sizes.count(2)
+    depth = [0] + [_class_depth(G, (1 << r) - 1) for r in range(1, k)]
+    single = {depth[r] for r in range(1, min(t, k - 1) + 1)}
+    return single | ({max(depth[r], 2) for r in range(1, k)} if t < k else set())
 
 
 def radius(G: GraphView) -> int:
@@ -269,12 +272,15 @@ def is_triangle_vertex(G: GraphView, u: Vertex) -> tuple[bool, tuple[Vertex, Ver
 
 
 def is_triangulated(G: GraphView) -> tuple[bool, Vertex | None]:
-    """True when every vertex lies on a triangle; otherwise a failing vertex."""
-    for m in G.classes:
-        ok, _ = is_triangle_vertex(G, Vertex(m, 0))
-        if not ok:
-            return False, Vertex(m, 0)
-    return True, None
+    """True when every vertex lies on a triangle; otherwise the lowest failing vertex.
+
+    A class lies on a triangle when it is disjoint from some class of two
+    or more coordinates, which splits into the other two corners.
+    """
+    lat = _lattice(G.ring.k)
+    singles = sum(1 << (1 << i) for i in range(G.ring.k))
+    off = lat[2] & ~_neighbors(lat, lat[2] & ~singles)
+    return (True, None) if not off else (False, Vertex(_lowest(off), 0))
 
 
 def orthogonal(G: GraphView, u: Vertex, v: Vertex) -> bool:

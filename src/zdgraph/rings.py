@@ -395,10 +395,6 @@ def ideal_product(ring: Ring, a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.mask & b.mask)
 
 
-def ideal_contains(outer: Ideal, inner: Ideal) -> bool:
-    return inner.mask & ~outer.mask == 0
-
-
 def elements_of_ideal(ring: Ring, ideal: Ideal) -> list[Element]:
     """Explicit member list in lex order, for small rings and oracle work."""
     size = math.prod(ring.qs[i] for i in iter_bits(ideal.mask))

@@ -5,11 +5,14 @@ of k prime fields these are P_i = {a : a_i = 0}, and the topology induced by
 the base of open sets {coz(a) : a in R} is computed from that base rather
 than assumed; on these rings it comes out discrete, and the tests pin that
 down.
+
+The base and the annihilating-ideal family are each one set of masks (see
+`rings._lattice`), so an interior or the maximal annihilating ideals cost
+O(k) big-int operations, and objects are built only for what is returned.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,9 +57,6 @@ class TopSet:
     def intersect(self, other: "TopSet") -> "TopSet":
         return TopSet(self.mask & other.mask, self.space_size)
 
-    def is_subset(self, other: "TopSet") -> bool:
-        return self.mask & ~other.mask == 0
-
     def is_empty(self) -> bool:
         return self.mask == 0
 
@@ -97,28 +97,24 @@ def zero_set(ring: Ring, x: Element | Ideal) -> TopSet:
     return TopSet(ring.full_mask & ~cozero_set(ring, x).mask, ring.k)
 
 
-def base_open_sets(ring: Ring) -> Iterable[TopSet]:
-    """The base {coz(a) : a in R}, one representative per support.
+def base_open_sets(ring: Ring) -> int:
+    """The base {coz(a) : a in R} as a set of masks: bit m when some element has support m.
 
     Every subset of coordinates is the support of some element (a sum of the
-    matching idempotents), so the base is enumerated over supports instead of
-    over all ring elements.
+    matching idempotents), so every mask is in the base.
     """
-    sub = full = ring.full_mask
-    while True:
-        yield TopSet(sub, ring.k)
-        if sub == 0:
-            break
-        sub = (sub - 1) & full
+    return (2 << ring.full_mask) - 1
 
 
 def interior(ring: Ring, a: TopSet) -> TopSet:
-    """Union of the base open sets contained in `a`."""
-    out = 0
-    for b in base_open_sets(ring):
-        if b.is_subset(a):
-            out |= b.mask
-    return TopSet(out, ring.k)
+    """Union of the base open sets contained in `a`.
+
+    The base sets inside `a` are the members of the base among the submasks
+    of `a`; coordinate i is in the union when one of them has bit i.
+    """
+    _, has, _ = _lattice(ring.k)
+    inside = _closed_down(has, 1 << a.mask) & base_open_sets(ring)
+    return TopSet(sum(1 << i for i, h in enumerate(has) if inside & h), ring.k)
 
 
 def is_singleton(a: TopSet) -> bool:
@@ -254,24 +250,19 @@ def is_prime_ideal(ring: Ring, ideal: Ideal) -> bool:
 def maximal_annihilating(ring: Ring) -> list[Ideal]:
     """Maximal members of the annihilating-ideal family, by inclusion.
 
-    The family is one set of masks.  Closing it downward marks every mask
-    inside some member; a mask lies strictly inside a member when adding
-    one missing bit leads to such a mark.  The maximal members are the
-    members without that mark.
+    I_m is annihilating exactly when 0 < m < full, so the family is one set
+    of masks.  Closing it downward marks every mask inside some member; a
+    mask lies strictly inside a member when adding one missing bit leads to
+    such a mark.  The maximal members are the members without that mark.
     """
-    members = annihilating_ideals(ring)
-    if not members:
+    _, has, family = _lattice(ring.k)
+    if not family:
         raise NoAnnihilatingIdeals(f"ring with factors {ring.qs} has no annihilating ideals")
-    nbytes, has, _ = _lattice(ring.k)
-    family = bytearray(nbytes)  # bit m stands for mask m
-    for I in members:
-        family[I.mask >> 3] |= 1 << (I.mask & 7)
-    inside = _closed_down(has, int.from_bytes(family, "little"))
+    inside = _closed_down(has, family)
     strictly_inside = 0
     for i, h in enumerate(has):
         strictly_inside |= (inside & h) >> (1 << i)
-    marked = strictly_inside.to_bytes(nbytes, "little")
-    return [I for I in members if not marked[I.mask >> 3] >> (I.mask & 7) & 1]
+    return [Ideal(m) for m in iter_bits(family & ~strictly_inside)]
 
 
 def prime_annihilating(ring: Ring) -> list[Ideal]:

@@ -43,17 +43,20 @@ from .pairs import pair_groups
 from .rings import (
     Ideal,
     Ring,
-    annihilating_ideals,
+    _closed_down,
+    _lattice,
+    _lowest,
     elements_of_ideal,
-    ideal_contains,
     iter_bits,
 )
 from .spectrum import (
     PlaceStatus,
+    TopSet,
     bourbaki_primes,
     cozero_set,
     fixed_place_status,
     is_singleton,
+    kernel,
     maximal_annihilating,
     min_primes,
     retract_check,
@@ -78,6 +81,8 @@ def _render(value: object) -> object:
     if isinstance(value, float):
         if math.isinf(value):
             return "Infinite"
+        if math.isnan(value):
+            return "NaN"
         return int(value) if value == int(value) else value
     if isinstance(value, (list, tuple, set, frozenset)):
         items = [_render(v) for v in value]
@@ -422,7 +427,8 @@ def _suite_triangle(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: in
             orc, _ = is_triangle_vertex(G, Vertex(m, 0))
             out.append(_rec(check_id, pred, orc, Vertex(m, 0).render(), pred == orc))
     for G, check_id in ((Gg, "triangulated.gamma"), (Ga, "triangulated.ag")):
-        pred = all(_predict_on_triangle(ring, m) for m in G.classes)
+        # a class is off every triangle when its zero set is one prime: the kernel of {P_i}
+        pred = not any(kernel(ring, TopSet(1 << i, ring.k)).mask in G.classes for i in range(ring.k))
         orc, failing = is_triangulated(G)
         witness = "" if failing is None else failing.render()
         out.append(_rec(check_id, pred, orc, witness, pred == orc))
@@ -552,7 +558,6 @@ def _suite_spectrum(ring: Ring, Gg: GraphView | None, Ga: GraphView | None, seed
     prime_masks = sorted(p.ideal.mask for p in mps)
 
     if ring.k >= 2:
-        members = annihilating_ideals(ring)
         maxi = maximal_annihilating(ring)
         orc_masks = sorted(i.mask for i in maxi)
         out.append(
@@ -564,13 +569,11 @@ def _suite_spectrum(ring: Ring, Gg: GraphView | None, Ga: GraphView | None, seed
                 orc_masks == prime_masks,
             )
         )
-        contained = True
-        bad = ""
-        for ideal in members:
-            if not any(ideal_contains(mx, ideal) for mx in maxi):
-                contained = False
-                bad = Vertex(ideal.mask, 0).render()
-                break
+        # the annihilating family, 0 < m < full, less what lies inside a maximal member
+        _, has, family = _lattice(ring.k)
+        left = family & ~_closed_down(has, sum(1 << mx.mask for mx in maxi))
+        contained = not left
+        bad = "" if contained else _render_mask(_lowest(left))
         out.append(_rec("spectrum.contained-in-maximal", True, contained, bad, contained))
     else:
         note = "a field has no annihilating ideals"

@@ -33,13 +33,28 @@ its sets per coordinate: for each member it walks the submasks of two
 complements, O(3^k) in all.  It is copied verbatim; the only edits are
 its name and its report class, `spectrum.RetractReport` imported as
 `WalkReport`, since the older `RetractReport` above takes that name here.
+
+The rest are the whole-graph passes from before they became expressions
+over sets of masks: each steps through one Python object per class or
+ideal.  `base_open_sets` and `interior` walk the 2^k base sets as
+`TopSet`s; `is_triangulated` calls `is_triangle_vertex` on each class;
+`edge_count` sums weight times reach over the classes from two
+`subset_products` tables; `_eccentricities` collects (size, weight >= 2)
+over every class; `_suite_triangle` predicts `triangulated.*` class by
+class; and `_suite_spectrum` checks `contained-in-maximal` member by
+member with `ideal_contains`, which is copied too.  They are copied
+verbatim.  The only edits: `interior` tests inclusion as a mask
+expression, since `TopSet.is_subset` is gone, and `edge_count` is a
+function of the graph rather than a method, so `self` reads `G`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from zdgraph.errors import (
@@ -59,8 +74,10 @@ from zdgraph.graphs import (
     DominationResult,
     GraphView,
     Vertex,
+    _class_depth,
     _validate_domination,
     class_eccentricity,
+    is_triangle_vertex,
 )
 from zdgraph.rings import (
     ELEMENT_CAP,
@@ -74,11 +91,19 @@ from zdgraph.rings import (
     ideal_product,
     iter_bits,
     submasks,
+    subset_products,
 )
 from zdgraph.spectrum import RetractReport as WalkReport
-from zdgraph.spectrum import sz_closure
+from zdgraph.spectrum import (
+    PlaceStatus,
+    TopSet,
+    bourbaki_primes,
+    fixed_place_status,
+    min_primes,
+    sz_closure,
+)
 from zdgraph.tables import _find_zero
-from zdgraph.verify import _rec, _wit
+from zdgraph.verify import _na, _predict_on_triangle, _rec, _render_mask, _sample_classes, _wit
 
 
 class IsolatedVertex(ZdgraphError):
@@ -527,4 +552,130 @@ def retract_walk(ring: Ring) -> WalkReport:
         image_is_fixed=unfixed == 0,
         failures=tuple(failures),
         adjacency_mismatch=mismatch,
+    )
+
+
+def base_open_sets(ring: Ring) -> Iterable[TopSet]:
+    """The base {coz(a) : a in R}, one representative per support.
+
+    Every subset of coordinates is the support of some element (a sum of the
+    matching idempotents), so the base is enumerated over supports instead of
+    over all ring elements.
+    """
+    sub = full = ring.full_mask
+    while True:
+        yield TopSet(sub, ring.k)
+        if sub == 0:
+            break
+        sub = (sub - 1) & full
+
+
+def interior(ring: Ring, a: TopSet) -> TopSet:
+    """Union of the base open sets contained in `a`."""
+    out = 0
+    for b in base_open_sets(ring):
+        if b.mask & ~a.mask == 0:
+            out |= b.mask
+    return TopSet(out, ring.k)
+
+
+def is_triangulated(G: GraphView) -> tuple[bool, Vertex | None]:
+    """True when every vertex lies on a triangle; otherwise a failing vertex."""
+    for m in G.classes:
+        ok, _ = is_triangle_vertex(G, Vertex(m, 0))
+        if not ok:
+            return False, Vertex(m, 0)
+    return True, None
+
+
+def edge_count(G: GraphView) -> int:
+    # reach[s] counts the elements (ideals) supported inside s, zero
+    # included, and class m reaches inside full - m, so its degree is
+    # reach[full - m] - 1; the classes are m = 1 .. full - 1 in order
+    reach = subset_products(G.sizes)
+    return (sum(map(operator.mul, G.weights, reach[-2:0:-1])) - G.vertex_count()) // 2
+
+
+def _eccentricities(G: GraphView) -> set[int]:
+    """The eccentricities the classes take, from one BFS per class size.
+
+    Permuting coordinates keeps masks disjoint, so a class's BFS depth
+    depends only on its size, and the classes of size r share the depth of
+    (1 << r) - 1.  Copies of a class are two apart (its complement is a
+    neighbor), so a class of weight 2 or more is at least 2 from itself.
+    One pass over the classes collects the (size, weight >= 2) pairs.
+    """
+    depth = [0] + [_class_depth(G, (1 << r) - 1) for r in range(1, G.ring.k)]
+    kinds = set(zip(map(int.bit_count, G.classes), map((2).__le__, G.weights)))
+    return {max(depth[r], 2) if copies else depth[r] for r, copies in kinds}
+
+
+def ideal_contains(outer: Ideal, inner: Ideal) -> bool:
+    return inner.mask & ~outer.mask == 0
+
+
+def _suite_triangle(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, out: list) -> None:
+    for G, check_id in ((Gg, "triangle.gamma"), (Ga, "triangle.ag")):
+        for m in _sample_classes(G, seed, check_id, cap):
+            pred = _predict_on_triangle(ring, m)
+            orc, _ = is_triangle_vertex(G, Vertex(m, 0))
+            out.append(_rec(check_id, pred, orc, Vertex(m, 0).render(), pred == orc))
+    for G, check_id in ((Gg, "triangulated.gamma"), (Ga, "triangulated.ag")):
+        pred = all(_predict_on_triangle(ring, m) for m in G.classes)
+        orc, failing = is_triangulated(G)
+        witness = "" if failing is None else failing.render()
+        out.append(_rec(check_id, pred, orc, witness, pred == orc))
+
+
+def _suite_spectrum(ring: Ring, Gg: GraphView | None, Ga: GraphView | None, seed: int, cap: int, out: list) -> None:
+    mps = min_primes(ring)
+    prime_masks = sorted(p.ideal.mask for p in mps)
+
+    if ring.k >= 2:
+        members = annihilating_ideals(ring)
+        maxi = maximal_annihilating(ring)
+        orc_masks = sorted(i.mask for i in maxi)
+        out.append(
+            _rec(
+                "spectrum.maximal-are-min-primes",
+                [_render_mask(m) for m in prime_masks],
+                [_render_mask(m) for m in orc_masks],
+                "",
+                orc_masks == prime_masks,
+            )
+        )
+        contained = True
+        bad = ""
+        for ideal in members:
+            if not any(ideal_contains(mx, ideal) for mx in maxi):
+                contained = False
+                bad = Vertex(ideal.mask, 0).render()
+                break
+        out.append(_rec("spectrum.contained-in-maximal", True, contained, bad, contained))
+    else:
+        note = "a field has no annihilating ideals"
+        out.append(_na("spectrum.maximal-are-min-primes", "", note))
+        out.append(_na("spectrum.contained-in-maximal", "", note))
+
+    status, kern = fixed_place_status(ring)
+    out.append(
+        _rec(
+            "spectrum.fixed-place",
+            PlaceStatus.FIXED_PLACE.value,
+            status.value,
+            f"kernel mask {kern.mask}",
+            status is PlaceStatus.FIXED_PLACE,
+        )
+    )
+
+    bs = bourbaki_primes(ring)
+    orc = sorted(p.ideal.mask for p in bs.primes)
+    out.append(
+        _rec(
+            "spectrum.bourbaki-witnesses",
+            [_render_mask(m) for m in prime_masks],
+            [_render_mask(m) for m in orc],
+            "",
+            orc == prime_masks,
+        )
     )

@@ -355,7 +355,7 @@ EXPORTS = [
     "ZdgraphError", "annihilating_ideals", "annihilator_element", "bourbaki_primes", "build_ag",
     "build_gamma", "build_ring", "class_eccentricity", "cozero_set", "degree", "diameter",
     "distance", "domination", "eccentricity", "enumerate_ideals", "factor_squarefree",
-    "fixed_place_status", "gamma_vertex", "girth_through", "ideal_contains", "ideal_product",
+    "fixed_place_status", "gamma_vertex", "girth_through", "ideal_product",
     "interior", "is_pendant", "is_triangle_vertex", "is_triangulated", "kernel", "load_registry",
     "load_table_file", "maximal_annihilating", "min_primes", "orthogonal", "prime_annihilating",
     "product_tables", "radius", "retract_check", "run_verification", "sz_closure", "table_from_json",

@@ -22,6 +22,13 @@ The per-coordinate retract check must give the submask walk's report,
 every field included, for the real closure and for faulty closures, at
 k <= 10, and the pairwise loop's three `retract.*` records, verdicts and
 witnesses included, at k <= 7.
+
+The whole-graph facts read from sets of masks must equal the per-class
+walks they replaced: every interior, the edge count, triangulation with
+its failing vertex and the eccentricity kinds of both graphs, and the
+`triangle.*` and `spectrum.*` records field for field.  The rings are
+`ORBIT_RINGS`, the canonical corpus, F2^k for k = 2 ... 6, and
+F2 x F2 x F2 x F3, which has k - 1 coordinates of size 2.
 """
 
 import math
@@ -45,10 +52,10 @@ from zdgraph import (
     retract_check,
     zn_tables,
 )
-from zdgraph import spectrum, verify
+from zdgraph import TopSet, interior, is_triangulated, spectrum, verify
 from zdgraph.graphs import _eccentricities
 from zdgraph.pairs import pair_groups
-from zdgraph.rings import Ideal, elements_of_ideal
+from zdgraph.rings import Ideal, _lattice, elements_of_ideal
 from zdgraph.spectrum import maximal_annihilating
 from zdgraph.verify import Verdict, _sample_pairs
 
@@ -218,16 +225,49 @@ def test_weight_one_singleton_in_either_order():
         assert (radius(G), diameter(G)) == (1, 2)
 
 
+def _assert_whole_graph_facts_match(ring):
+    for a in range(1 << ring.k):
+        assert interior(ring, TopSet(a, ring.k)) == reference_engines.interior(ring, TopSet(a, ring.k)), a
+    graphs = (build_gamma(ring), build_ag(ring)) if ring.k >= 2 else (None, None)
+    for G in filter(None, graphs):
+        assert G.edge_count() == reference_engines.edge_count(G), G.kind
+        assert is_triangulated(G) == reference_engines.is_triangulated(G), G.kind
+        assert _eccentricities(G) == reference_engines._eccentricities(G), G.kind
+    suites = [(verify._suite_spectrum, reference_engines._suite_spectrum)]
+    if ring.k >= 2:
+        suites.append((verify._suite_triangle, reference_engines._suite_triangle))
+    for new, old in suites:
+        records, expected = [], []
+        new(ring, *graphs, 0, 6, records)
+        old(ring, *graphs, 0, 6, expected)
+        assert [r.to_dict() for r in records] == [r.to_dict() for r in expected], ring.qs
+
+
+WHOLE_GRAPH_RINGS = ORBIT_RINGS + tuple((2,) * k for k in range(2, 7)) + ((2, 2, 2, 3),)
+
+
+@pytest.mark.parametrize("qs", WHOLE_GRAPH_RINGS, ids=["x".join(map(str, qs)) for qs in WHOLE_GRAPH_RINGS])
+def test_whole_graph_facts_match_per_class_walks(qs):
+    _assert_whole_graph_facts_match(build_ring(PrimeFactors(qs)))
+
+
+def test_whole_graph_facts_match_per_class_walks_on_corpus(corpus):
+    for ring in corpus:
+        _assert_whole_graph_facts_match(ring)
+
+
 def test_maximality_of_any_family_matches_inclusion_scan(monkeypatch):
     # the ring's own family is always every proper mask; arbitrary families
     # also exercise members that lie inside others by more than one bit
     rng = random.Random(0)
     ring = build_ring(PrimeFactors((2, 3, 5, 7, 11, 13, 17)))
+    nbytes, has, _ = _lattice(ring.k)
     for _ in range(100):
         density = rng.choice((0.02, 0.3, 0.7))
         family = [Ideal(m) for m in range(1 << ring.k) if rng.random() < density]
-        for module in (spectrum, reference_engines):
-            monkeypatch.setattr(module, "annihilating_ideals", lambda ring, family=family: family)
+        bits = sum(1 << I.mask for I in family)
+        monkeypatch.setattr(spectrum, "_lattice", lambda k, lat=(nbytes, has, bits): lat)
+        monkeypatch.setattr(reference_engines, "annihilating_ideals", lambda ring, family=family: family)
         if family:
             assert maximal_annihilating(ring) == reference_engines.maximal_annihilating(ring)
         else:

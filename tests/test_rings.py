@@ -19,7 +19,6 @@ from zdgraph import (
     build_ring,
     enumerate_ideals,
     factor_squarefree,
-    ideal_contains,
     ideal_product,
     zn_tables,
 )
@@ -221,8 +220,6 @@ def test_ideal_lattice_operations(z30):
     a = Ideal(0b011)
     b = Ideal(0b110)
     assert ideal_product(z30, a, b) == Ideal(0b010)
-    assert ideal_contains(a, Ideal(0b001))
-    assert not ideal_contains(Ideal(0b001), a)
 
 
 def test_ideal_product_matches_element_products(z30):

@@ -4,6 +4,7 @@ from zdgraph import (
     Ideal,
     NoAnnihilatingIdeals,
     PlaceStatus,
+    PrimeFactors,
     SquarefreeModulus,
     TopSet,
     bourbaki_primes,
@@ -18,6 +19,7 @@ from zdgraph import (
     sz_closure,
     zero_set,
 )
+from zdgraph import spectrum
 from zdgraph.rings import annihilator_element, enumerate_ideals
 from zdgraph.spectrum import base_open_sets, is_isolated_point, is_singleton
 
@@ -51,12 +53,20 @@ def test_zero_set_relative_to_subspace(z30):
 
 def test_topology_is_discrete(z30):
     # every subset is a base open set, so interiors are trivial
-    opens = {o.mask for o in base_open_sets(z30)}
-    assert 0b001 in opens and 0b101 in opens
+    assert base_open_sets(z30) == (1 << 8) - 1
     a = TopSet(0b110, 3)
     assert interior(z30, a).mask == a.mask
     for i in range(3):
         assert is_isolated_point(z30, i)
+
+
+def test_isolated_points_are_read_from_the_base(monkeypatch):
+    ring = build_ring(PrimeFactors((2, 3, 5, 7)))
+    real = spectrum.base_open_sets
+    for i in range(ring.k):
+        # drop the support {i}: the singleton {P_i} is then no longer open
+        monkeypatch.setattr(spectrum, "base_open_sets", lambda r, i=i: real(r) & ~(1 << (1 << i)))
+        assert [is_isolated_point(ring, p) for p in range(ring.k)] == [p != i for p in range(ring.k)]
 
 
 def test_singletons():

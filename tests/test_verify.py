@@ -208,11 +208,11 @@ AWKWARD = 'a "quote", a \\ backslash,\na newline,\ta tab, 100% \x00 and Ωμέγ
 
 def _hand_built_reports():
     # every `_render` branch: bool, None, int, str, an integral and a
-    # non-integral float, inf, list, tuple, set, a nested dict and an object
+    # non-integral float, inf, NaN, list, tuple, set, a nested dict and an object
     # rendered by str(); records out of (check_id, witness) order
     values = [
-        True, False, None, 0, -7, 10**30, AWKWARD, 2.0, 0.25, float("inf"), -float("inf"),
-        [1, [2.5, "x"], []], (3, 1.0), {3, 1, 2}, frozenset({"b", "a"}), {},
+        True, False, None, 0, -7, 10**30, AWKWARD, 2.0, 0.25, float("inf"), -float("inf"), float("nan"),
+        [1, [2.5, "x", float("nan")], []], (3, 1.0), {3, 1, 2}, frozenset({"b", "a"}), {},
         {2: [float("inf"), None], "a": {"b": (AWKWARD, 4.0)}, "": set()}, 1 + 2j,
     ]
     records = [
@@ -255,6 +255,9 @@ class TestReportWriter:
             "witness": AWKWARD, "registered": True, "note": AWKWARD,
         }
         assert [r["check_id"] for r in doc["records"][1:3]] == ["a.first", "z.last"]
+        # NaN is written as a string, as `json` would write the invalid token NaN
+        predictions = [r["prediction"] for r in doc["records"]]
+        assert "NaN" in predictions and [1, [2.5, "x", "NaN"], []] in predictions
 
 
 class TestNativeVsTable:
