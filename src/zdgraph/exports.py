@@ -30,8 +30,8 @@ def _graph_parts(G: GraphView, compressed: bool) -> tuple[list[dict], list[list[
     """
     if compressed:
         nodes = [
-            {"id": m - 1, "mask": m, "support": render_support(m), "weight": w}
-            for m, w in zip(G.classes, G.weights)
+            {"id": m - 1, "mask": m, "support": render_support(m), "weight": G.weight(m)}
+            for m in G.classes
         ]
         edges = [[m - 1, s - 1] for m in G.classes for s in submasks(G.full_mask & ~m) if m < s]
         return nodes, edges, [f"S={node['support']} (w={node['weight']})" for node in nodes]

@@ -28,7 +28,6 @@ from .rings import (
     _reversed,
     iter_bits,
     render_support,
-    subset_products,
 )
 
 GAMMA = "gamma"
@@ -68,16 +67,25 @@ class GraphView:
         self.full_mask = full = ring.full_mask
         self.classes = range(1, full)
         self.sizes: tuple[int, ...] = ring.qs if kind == GAMMA else (2,) * ring.k
-        # the class of mask m has prod(q_i - 1) elements over the bits i of m
-        self.weights: tuple[int, ...] = tuple(subset_products([q - 1 for q in self.sizes])[1:-1])
+        # the coordinates of size 2: a class has one vertex exactly when its
+        # mask lies inside them
+        self.twos = sum(1 << i for i, q in enumerate(self.sizes) if q == 2)
 
     def weight(self, mask: int) -> int:
+        """The class of mask m has prod(q_i - 1) elements over the bits i of m.
+
+        A coordinate of size 2 adds a factor 1, so only the others are read.
+        """
         if not 0 < mask < self.full_mask:
             raise ValueError(f"mask {mask:b} is not a vertex class of this graph")
-        return self.weights[mask - 1]
+        w = 1
+        for i in iter_bits(mask & ~self.twos):
+            w *= self.sizes[i] - 1
+        return w
 
     def vertex_count(self) -> int:
-        return sum(self.weights)
+        # every element less the units and zero
+        return math.prod(self.sizes) - math.prod(q - 1 for q in self.sizes) - 1
 
     def edge_count(self) -> int:
         # ordered pairs of elements with disjoint supports: at each coordinate
@@ -91,8 +99,8 @@ class GraphView:
         return math.prod(self.sizes[i] for i in iter_bits(self.full_mask & ~mask)) - 1
 
     def vertices(self) -> Iterator[Vertex]:
-        for m, w in zip(self.classes, self.weights):
-            for c in range(w):
+        for m in self.classes:
+            for c in range(self.weight(m)):
                 yield Vertex(m, c)
 
     def check_vertex(self, v: Vertex) -> None:
@@ -227,7 +235,7 @@ def _eccentricities(G: GraphView) -> set[int]:
     coordinates, the sizes 1 .. min(t, k - 1) occur with one copy, and when
     t < k every size 1 .. k - 1 occurs with copies.
     """
-    k, t = G.ring.k, G.sizes.count(2)
+    k, t = G.ring.k, G.twos.bit_count()
     depth = [0] + [_class_depth(G, (1 << r) - 1) for r in range(1, k)]
     single = {depth[r] for r in range(1, min(t, k - 1) + 1)}
     return single | ({max(depth[r], 2) for r in range(1, k)} if t < k else set())
@@ -360,7 +368,7 @@ def girth_through(G: GraphView, u: Vertex, v: Vertex) -> GirthResult:
     start, near_v = _neighbors(lat, 1 << mu), _neighbors(lat, 1 << mv)
 
     def left(m: int) -> int:
-        return G.weights[m - 1] - (m == mu) - (m == mv)
+        return G.weight(m) - (m == mu) - (m == mv)
 
     usable = lat[2]
     for m in (mu, mv):
@@ -432,13 +440,11 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
     of cost lb, lb + 1, ... below the upper bound, one node per set, and the
     first dominating set of the first round that has one is the answer.
     """
-    ws = G.weights
     full = G.full_mask
     k = G.ring.k
     lat = _lattice(k)
-    # bit m is set when class m has one copy: every coordinate of m has size 2
-    twos = sum(1 << i for i, q in enumerate(G.sizes) if q == 2)
-    weight_one = _closed_down(lat[1], 1 << twos) & lat[2]
+    # bit m is set when class m has one copy: m lies inside the size-2 coordinates
+    weight_one = _closed_down(lat[1], 1 << G.twos) & lat[2]
 
     def uncovered(one: int, every: int) -> int:
         covered = _neighbors(lat, one | every)
@@ -472,7 +478,7 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
 
     size, one, every = best
     witness = [Vertex(m, 0) for m in iter_bits(one)]
-    witness += [Vertex(m, c) for m in iter_bits(every) for c in range(ws[m - 1])]
+    witness += [Vertex(m, c) for m in iter_bits(every) for c in range(G.weight(m))]
     witness.sort(key=lambda v: (v.mask, v.copy))
 
     _validate_domination(G, witness, total)
@@ -495,7 +501,7 @@ def _choice_sets(G: GraphView, cost: int) -> Iterator[tuple[int, int]]:
     """
     # (cost, class, whole)
     choices = [(1, m, False) for m in G.classes]
-    choices += [(w, m, True) for m, w in zip(G.classes, G.weights) if w > 1]
+    choices += [(G.weight(m), m, True) for m in G.classes if m & ~G.twos]
     for r in range(cost + 1):
         for picked in itertools.combinations(choices, r):
             if sum(c for c, _, _ in picked) == cost and len({m for _, m, _ in picked}) == r:
@@ -519,7 +525,7 @@ def _validate_domination(G: GraphView, witness: list[Vertex], total: bool) -> No
         counts[v.mask] = counts.get(v.mask, 0) + 1
     covered = _closed_down(has, sum(1 << (full ^ t) for t in counts))
     if not total:
-        covered |= sum(1 << m for m, c in counts.items() if c == G.weights[m - 1])
+        covered |= sum(1 << m for m, c in counts.items() if c == G.weight(m))
     missed = classes & ~covered
     if missed:
         flavor = "totally dominated" if total else "dominated"

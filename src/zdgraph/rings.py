@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 import os
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -66,18 +66,6 @@ def submasks(mask: int) -> Iterator[int]:
     sub = 0
     while sub := (sub - mask) & mask:
         yield sub
-
-
-def subset_products(factors: Sequence[int]) -> list[int]:
-    """The product of factors[i] over the set bits i of m, for every mask m.
-
-    The masks with highest bit i are the masks below 1 << i with bit i
-    added, so each factor doubles the table.
-    """
-    table = [1]
-    for f in factors:
-        table += [p * f for p in table]
-    return table
 
 
 # A set of masks is one int whose bit m stands for mask m, so one big-int

@@ -267,11 +267,13 @@ def _pair_population(G: GraphView) -> dict[tuple, Sequence[tuple[int, int]]]:
     """Signature -> its mask pairs (a, b), |a| <= |b|, the smaller mask first on a tie.
 
     A signature is (|a|, |b|, |a & b|, covering, same class); a same-class
-    pair is (m, m), for a class of at least two vertices, which only Γ has.
+    pair is (m, m), for a class of at least two vertices: one that meets a
+    coordinate of size above 2, which only Γ has.
     """
     groups: dict[tuple, Sequence[tuple[int, int]]] = dict(pair_groups(G.ring.k))
-    for m, w in zip(G.classes, G.weights):
-        if w >= 2:
+    odd = ~G.twos
+    for m in G.classes:
+        if m & odd:
             n = m.bit_count()
             groups.setdefault((n, n, n, False, True), []).append((m, m))
     return groups

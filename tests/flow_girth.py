@@ -2,9 +2,10 @@
 
 `girth_through` below is the flow engine the package used before the lattice
 searches, copied verbatim: one two-unit min-cost-flow solve per pair on the
-class network, with each class split into an entry and an exit node.  The one
-edit: its class rows come from `reference_engines.adjacency(G)`, as the
-package no longer builds adjacency lists.
+class network, with each class split into an entry and an exit node.  The
+edits: its class rows come from `reference_engines.adjacency(G)`, as the
+package no longer builds adjacency lists, and its class weights from
+`reference_engines.weights(G)`, as the package no longer keeps a weight table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from reference_engines import adjacency
+from reference_engines import adjacency, weights
 from zdgraph.graphs import GirthResult, GraphView, Infinite, Vertex
 
 
@@ -127,7 +128,7 @@ def girth_through(G: GraphView, u: Vertex, v: Vertex) -> GirthResult:
     def node_out(i: int) -> int:
         return 3 + 2 * i
 
-    caps = [min(2, w - (m == u.mask) - (m == v.mask)) for m, w in zip(cs, G.weights)]
+    caps = [min(2, w - (m == u.mask) - (m == v.mask)) for m, w in zip(cs, weights(G))]
     for i, c in enumerate(caps):
         if c > 0:
             net.add_edge(node_in(i), node_out(i), c, 0)

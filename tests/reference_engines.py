@@ -8,6 +8,13 @@ sampling grouped plain mask pairs.  The only edits: `G.adjacency()` and
 `class_index(G, mask)`.  The `IsolatedVertex` that `domination` raises is
 defined here too: the package never raises it and no longer has it.
 
+`subset_products` is the package's table of products over every mask,
+copied verbatim; `weights(G)` reads the class weights from it, as the
+package's `GraphView.weights` tuple did before `GraphView.weight(m)` became
+a product over the bits of m.  That is one more edit to the copies here:
+each `G.weights` read in `domination`, `_sample_pairs`, `edge_count` and
+`_eccentricities` now reads `weights(G)`.
+
 `elements_of_ideal` is the recursive element walk the package used
 before it walked `itertools.product`, copied verbatim.
 
@@ -54,7 +61,7 @@ import functools
 import math
 import operator
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from zdgraph.errors import (
@@ -91,7 +98,6 @@ from zdgraph.rings import (
     ideal_product,
     iter_bits,
     submasks,
-    subset_products,
 )
 from zdgraph.spectrum import RetractReport as WalkReport
 from zdgraph.spectrum import (
@@ -112,6 +118,24 @@ class IsolatedVertex(ZdgraphError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"vertex {witness} has no neighbor")
+
+
+def subset_products(factors: Sequence[int]) -> list[int]:
+    """The product of factors[i] over the set bits i of m, for every mask m.
+
+    The masks with highest bit i are the masks below 1 << i with bit i
+    added, so each factor doubles the table.
+    """
+    table = [1]
+    for f in factors:
+        table += [p * f for p in table]
+    return table
+
+
+@functools.cache
+def weights(G: GraphView) -> tuple[int, ...]:
+    """The weight of every class, in class order: the reference for `G.weight(m)`."""
+    return tuple(subset_products([q - 1 for q in G.sizes])[1:-1])
 
 
 @functools.cache
@@ -138,7 +162,7 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
     one copy per single-coordinate class.
     """
     cs = G.classes
-    ws = G.weights
+    ws = weights(G)
     full = G.full_mask
     nclasses = len(cs)
 
@@ -276,7 +300,7 @@ def _sample_pairs(
     full = G.full_mask
     groups: dict[tuple, list[tuple[Vertex, Vertex]]] = {}
     for i, mi in enumerate(G.classes):
-        if include_same_class and G.weights[i] >= 2:
+        if include_same_class and weights(G)[i] >= 2:
             sig = (_popcount(mi), _popcount(mi), _popcount(mi), mi == full, True)
             groups.setdefault(sig, []).append((Vertex(mi, 0), Vertex(mi, 1)))
         for mj in G.classes[i + 1 :]:
@@ -593,7 +617,7 @@ def edge_count(G: GraphView) -> int:
     # included, and class m reaches inside full - m, so its degree is
     # reach[full - m] - 1; the classes are m = 1 .. full - 1 in order
     reach = subset_products(G.sizes)
-    return (sum(map(operator.mul, G.weights, reach[-2:0:-1])) - G.vertex_count()) // 2
+    return (sum(map(operator.mul, weights(G), reach[-2:0:-1])) - G.vertex_count()) // 2
 
 
 def _eccentricities(G: GraphView) -> set[int]:
@@ -606,7 +630,7 @@ def _eccentricities(G: GraphView) -> set[int]:
     One pass over the classes collects the (size, weight >= 2) pairs.
     """
     depth = [0] + [_class_depth(G, (1 << r) - 1) for r in range(1, G.ring.k)]
-    kinds = set(zip(map(int.bit_count, G.classes), map((2).__le__, G.weights)))
+    kinds = set(zip(map(int.bit_count, G.classes), map((2).__le__, weights(G))))
     return {max(depth[r], 2) if copies else depth[r] for r, copies in kinds}
 
 

@@ -45,7 +45,7 @@ def class_pairs(G):
     """Every pair of distinct classes, plus two copies of each class that has them."""
     pairs = []
     for i, a in enumerate(G.classes):
-        if G.weights[i] >= 2:
+        if G.weight(a) >= 2:
             pairs.append((Vertex(a, 0), Vertex(a, 1)))
         pairs.extend((Vertex(a), Vertex(b)) for b in G.classes[i + 1 :])
     return pairs

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -55,6 +56,25 @@ class TestConstruction:
         assert len(G.classes) == 6
         assert G.weight(0b001) == 1 and G.weight(0b110) == 8
         assert all(A.weight(m) == 1 for m in A.classes)
+
+    def test_counts_at_k20_allocate_no_class_table(self):
+        # a tuple with one entry per class is 8 MB at k = 20 for 𝔸𝔾 alone
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+        ring = build_ring(PrimeFactors(primes))
+        full = ring.full_mask
+        tracemalloc.start()
+        try:
+            G, A = build_gamma(ring), build_ag(ring)
+            counts = [(H.vertex_count(), H.edge_count(), H.weight(1), H.weight(full - 1)) for H in (G, A)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, units = math.prod(primes), math.prod(q - 1 for q in primes)
+        edges = (math.prod(2 * q - 1 for q in primes) - 2 * n + 1) // 2
+        # full - 1 drops only the F2 coordinate, whose one unit leaves the product as is
+        assert counts[0] == (n - units - 1, edges, 1, units)
+        assert counts[1] == (2**20 - 2, (3**20 - 2**21 + 1) // 2, 1, 1)
+        assert peak < 100_000
 
     def test_vertex_roundtrip(self, z30):
         G = build_gamma(z30)
@@ -181,7 +201,7 @@ class TestBitsetBFS:
     def test_distance_of_every_class_pair_at_k5(self):
         ring = build_ring(PrimeFactors((2, 2, 3, 3, 5)))
         for G in (build_gamma(ring), build_ag(ring)):
-            assert min(G.weights) == 1  # the repeated primes give weight-one classes
+            assert min(map(G.weight, G.classes)) == 1  # the repeated primes give weight-one classes
             for a in G.classes:
                 dist = {m: d for d, level in enumerate(list_bfs_levels(G, a)) for m in level}
                 for b in G.classes:

@@ -8,7 +8,12 @@ which coordinates carry the weight-one classes, and so the search path).
 Sampling at k <= 8 must draw, for each signature of the old sampler's full
 pair list, min(n, cap) distinct pairs of that signature, with same-class
 pairs on Γ only.  The counted pair groups the sampler draws from must hold
-exactly the pairs a full pair list groups under each signature.
+exactly the pairs a full pair list groups under each signature.  Both
+lists hold rings whose F2 factors are not the first coordinates.
+
+`GraphView.weight(m)` must equal the subset-product weight table for every
+class, and `vertex_count()` its sum, on both graphs of rings up to k = 10
+with F2 and odd factors in mixed orders.
 
 The ideal member walks must return equal coordinate lists, in order, for
 every mask of three small rings and a table ring, and for every ideal of
@@ -81,14 +86,19 @@ def test_domination_matches_index_engine(k):
 # reach both branches at the larger sizes, and cap 90 takes most groups whole.
 WIDE_CAPS = (*range(1, 7), 7, 22, 90)
 
-# (factors, seeds, caps): the full grid up to k = 6, a thinner one at k = 7 and 8
+# (factors, seeds, caps): the full grid up to k = 6, a thinner one at k = 7 and 8.
+# The F2 factors are not always first, so a same-class rule that assumed the
+# size-2 coordinates are the low bits would fail.
 SAMPLING_PLAN = (
     ((2, 3), (0, 1, 7), range(1, 7)),
+    ((3, 2), (0, 1, 7), range(1, 7)),
     ((3, 3), (0, 1, 7), range(1, 7)),
     ((2, 2, 3), (0, 1, 7), range(1, 7)),
     ((2, 2, 2, 2), (0, 1, 7), range(1, 7)),
     ((3, 3, 5, 5), (0, 1, 7), range(1, 7)),
+    ((3, 2, 2, 5), (0, 1, 7), range(1, 7)),
     ((2, 3, 5, 7, 11), (0, 1, 7), WIDE_CAPS),
+    ((5, 2, 3, 2, 7), (0, 1, 7), WIDE_CAPS),
     ((2, 2, 3, 3, 5, 5), (0, 1, 7), WIDE_CAPS),
     ((2, 3, 5, 7, 11, 13, 17), (0, 1), (1, 3, 6)),
     ((2, 2, 3, 3, 5, 5, 7, 7), (0, 7), (1, 6)),
@@ -128,7 +138,7 @@ def _pair_list_groups(G):
     """Signature -> mask pairs, by listing every class pair."""
     full = G.full_mask
     groups = {}
-    for mi, w in zip(G.classes, G.weights):
+    for mi, w in zip(G.classes, reference_engines.weights(G)):
         if w >= 2:
             n = mi.bit_count()
             groups.setdefault((n, n, n, False, True), []).append((mi, mi))
@@ -141,10 +151,13 @@ def _pair_list_groups(G):
 
 COUNTED_RINGS = (
     (2, 3),
+    (3, 2),
     (2, 2),
     (3, 3, 5),
     (2, 2, 3, 3),
+    (3, 2, 2, 5),
     (2, 3, 5, 7, 11),
+    (5, 2, 3, 2, 7),
     (2, 2, 3, 3, 5, 5, 7),
     (2, 3, 5, 7, 11, 13, 17, 19),
 )
@@ -162,6 +175,33 @@ def test_counted_groups_hold_the_pair_list(qs):
     for sig, group in pair_groups(ring.k):
         with pytest.raises(IndexError):
             group[len(group)]
+
+
+# F2 and odd factors in mixed orders, up to k = 10
+WEIGHT_RINGS = (
+    (2, 2),
+    (3, 2),
+    (2, 3, 2),
+    (3, 2, 2, 5),
+    (5, 2, 3, 2, 7),
+    (7, 5, 3, 2),
+    (3, 5, 2, 7, 11, 2, 13),
+    (2, 3, 2, 3, 2, 5, 7, 2),
+    (3, 2, 5, 2, 7, 2, 11, 2, 13, 2),
+    (29, 23, 19, 17, 13, 11, 7, 5, 3, 2),
+)
+
+
+@pytest.mark.parametrize("qs", WEIGHT_RINGS, ids=["x".join(map(str, qs)) for qs in WEIGHT_RINGS])
+def test_weights_match_subset_product_table(qs):
+    ring = build_ring(PrimeFactors(qs))
+    for G in (build_gamma(ring), build_ag(ring)):
+        table = reference_engines.weights(G)
+        assert [G.weight(m) for m in G.classes] == list(table), G.kind
+        assert G.vertex_count() == sum(table), G.kind
+        for m in (0, G.full_mask):
+            with pytest.raises(ValueError):
+                G.weight(m)
 
 
 def _assert_walks_match(ring, mask):
