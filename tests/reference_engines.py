@@ -41,6 +41,12 @@ complements, O(3^k) in all.  It is copied verbatim; the only edits are
 its name and its report class, `spectrum.RetractReport` imported as
 `WalkReport`, since the older `RetractReport` above takes that name here.
 
+`retract_coords` is the retract check from before it compared only the
+pairs with a member that the closure moves: for each member it reads two
+sets of the members above it from per-coordinate bitsets, O(k) big-int
+operations on 2^k-bit ints.  It is copied verbatim; the only edits are
+its name and, as for `retract_walk`, its report class `WalkReport`.
+
 The rest are the whole-graph passes from before they became expressions
 over sets of masks: each steps through one Python object per class or
 ideal.  `base_open_sets` and `interior` walk the 2^k base sets as
@@ -93,6 +99,7 @@ from zdgraph.rings import (
     Ring,
     TableRing,
     _is_prime,
+    _lattice,
     _lowest,
     annihilating_ideals,
     ideal_product,
@@ -566,6 +573,54 @@ def retract_walk(ring: Ring) -> WalkReport:
         for t in submasks(full & ~p):
             closed |= pre[t]
         closed &= above
+        if mismatch is None and direct != closed:
+            mismatch = (a, _lowest(direct ^ closed))
+        for b in iter_bits(direct & (~closed | pre[p])):
+            failures.append(f"edge {I.render(ring)}-{Ideal(b).render(ring)} not preserved")
+    return WalkReport(
+        is_identity=all(p == m for m, p in phi.items()),
+        preserves_adjacency=len(failures) == unfixed,
+        image_is_fixed=unfixed == 0,
+        failures=tuple(failures),
+        adjacency_mismatch=mismatch,
+    )
+
+
+def retract_coords(ring: Ring) -> WalkReport:
+    """Check that I -> sz_closure(I) retracts the ideal graph onto itself.
+
+    Each closure is computed once, and `pre[t]` is the set of members whose
+    closure is t, as a bitset.  For each member a, two sets of the members
+    above a are compared, each the members that miss every coordinate of a
+    mask: `direct` misses a's coordinates, and `closed` those of a's closure
+    in their own closure.  An edge is preserved when the closures are
+    disjoint and distinct.  Each member costs O(k) big-int operations.
+    """
+    members = annihilating_ideals(ring)
+    phi = {I.mask: sz_closure(ring, I).mask for I in members}
+    pre: dict[int, int] = {}
+    for m, p in phi.items():
+        pre[p] = pre.get(p, 0) | 1 << m
+    # all but the masks with bit i, and all but the members whose closure has it
+    missing = [~h for h in _lattice(ring.k)[1]]
+    unmet = [~sum(s for t, s in pre.items() if t >> i & 1) for i in range(ring.k)]
+    family = sum(pre.values())
+
+    failures = []
+    for I in members:
+        p = phi[I.mask]
+        if (phi[p] if p in phi else sz_closure(ring, Ideal(p)).mask) != p:
+            failures.append(f"closure of {I.render(ring)} is not fixed")
+    unfixed = len(failures)
+
+    mismatch = None
+    for I in members:
+        a, p = I.mask, phi[I.mask]
+        direct = closed = family & -(2 << a)  # the members above a
+        for i in iter_bits(a):
+            direct &= missing[i]
+        for i in iter_bits(p):
+            closed &= unmet[i]
         if mismatch is None and direct != closed:
             mismatch = (a, _lowest(direct ^ closed))
         for b in iter_bits(direct & (~closed | pre[p])):

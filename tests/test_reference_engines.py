@@ -23,10 +23,11 @@ Radius and diameter from one BFS per class size must equal the min and
 max of the per-class eccentricities, and maximality by the lattice
 transform must equal the pairwise inclusion scan, at k <= 8.
 
-The per-coordinate retract check must give the submask walk's report,
-every field included, for the real closure and for faulty closures, at
-k <= 10, and the pairwise loop's three `retract.*` records, verdicts and
-witnesses included, at k <= 7.
+The moved-member retract check must give the per-coordinate check's and
+the submask walk's report, every field included, for the real closure and
+for faulty closures, some of which move two or three members, at k <= 10,
+and the pairwise loop's three `retract.*` records, verdicts and witnesses
+included, at k <= 7.
 
 The whole-graph facts read from sets of masks must equal the per-class
 walks they replaced: every interior, the edge count, triangulation with
@@ -326,13 +327,17 @@ def _closure_faults(ring, rng):
     a, b = rng.sample(range(1, full), 2)
     swap = {a: b, b: a}
     yield f"{a}<->{b}", lambda r, I: Ideal(swap.get(I.mask, I.mask))
+    for n in (2, 3):
+        if n < full:
+            moves = {src: rng.randrange(full + 1) for src in rng.sample(range(1, full), n)}
+            yield f"moves {moves}", lambda r, I, moves=moves: Ideal(moves[I.mask]) if I.mask in moves else real(r, I)
     yield "complement", lambda r, I: Ideal(full & ~I.mask)
     yield "zero", lambda r, I: Ideal(0)
     # the top member goes to the whole ring, whose closure is then the zero ideal
     yield "successor", lambda r, I: Ideal((I.mask + 1) % (full + 1))
 
 
-RETRACT_RINGS = [(2, 3, 5, 7, 11, 13, 17)[:k] for k in range(2, 8)] + [(2, 2, 3, 3, 5)]
+RETRACT_RINGS = [(2, 3, 5, 7, 11, 13, 17)[:k] for k in range(2, 8)] + [(2, 2, 3, 3, 5), (3, 2, 5, 2, 7)]
 
 
 @pytest.mark.parametrize("qs", RETRACT_RINGS, ids=["x".join(map(str, qs)) for qs in RETRACT_RINGS])
@@ -343,7 +348,7 @@ def test_retract_matches_submask_walk_and_pairwise_loop(qs, monkeypatch):
         for module in (spectrum, reference_engines):
             monkeypatch.setattr(module, "sz_closure", closure)
         new, old = retract_check(ring), reference_engines.retract_check(ring)
-        assert new == reference_engines.retract_walk(ring), name
+        assert new == reference_engines.retract_coords(ring) == reference_engines.retract_walk(ring), name
         fields = ("is_identity", "preserves_adjacency", "image_is_fixed", "failures")
         assert [getattr(new, f) for f in fields] == [getattr(old, f) for f in fields], name
         records, expected = [], []
@@ -366,6 +371,6 @@ def test_retract_matches_submask_walk_at_k_8_to_10(qs, monkeypatch):
         for module in (spectrum, reference_engines):
             monkeypatch.setattr(module, "sz_closure", closure)
         new = retract_check(ring)
-        assert new == reference_engines.retract_walk(ring), name
+        assert new == reference_engines.retract_coords(ring) == reference_engines.retract_walk(ring), name
         outcomes.add((new.image_is_fixed, new.preserves_adjacency, new.adjacency_mismatch is None))
     assert {(True, True, True), (True, False, False), (False, False, False)} <= outcomes
