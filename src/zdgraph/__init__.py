@@ -83,7 +83,6 @@ _EXPORTS = {
         "MinPrime",
         "PlaceStatus",
         "RetractReport",
-        "TopSet",
         "bourbaki_primes",
         "cozero_set",
         "fixed_place_status",

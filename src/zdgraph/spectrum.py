@@ -6,7 +6,8 @@ the base of open sets {coz(a) : a in R} is computed from that base rather
 than assumed; on these rings it comes out discrete, and the tests pin that
 down.
 
-The base and the annihilating-ideal family are each one set of masks (see
+A subset of Min(R) is a mask over prime indices, bit i for P_i.  The base
+and the annihilating-ideal family are each one set of masks (see
 `rings._lattice`), so an interior or the maximal annihilating ideals cost
 O(k) big-int operations, and objects are built only for what is returned.
 """
@@ -27,7 +28,6 @@ from .rings import (
     annihilating_ideals,
     annihilator_element,
     iter_bits,
-    render_support,
 )
 
 
@@ -42,29 +42,6 @@ class MinPrime:
         if ring is not None and ring.modulus is not None:
             return self.ideal.render(ring)
         return f"P{self.index + 1}"
-
-
-@dataclass(frozen=True)
-class TopSet:
-    """A subset of Min(R) as a mask over prime indices, with the size of the space."""
-
-    mask: int
-    space_size: int
-
-    def union(self, other: "TopSet") -> "TopSet":
-        return TopSet(self.mask | other.mask, self.space_size)
-
-    def intersect(self, other: "TopSet") -> "TopSet":
-        return TopSet(self.mask & other.mask, self.space_size)
-
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    def is_full(self) -> bool:
-        return self.mask == (1 << self.space_size) - 1
-
-    def render(self) -> str:
-        return render_support(self.mask)
 
 
 class PlaceStatus(str, Enum):
@@ -86,15 +63,15 @@ def min_primes(ring: Ring) -> list[MinPrime]:
     return [MinPrime(i, Ideal(full & ~(1 << i))) for i in range(ring.k)]
 
 
-def cozero_set(ring: Ring, x: Element | Ideal) -> TopSet:
-    """h^c(x): the primes that miss x, i.e. P_i with x_i != 0."""
+def cozero_set(ring: Ring, x: Element | Ideal) -> int:
+    """h^c(x) as a mask over prime indices: the primes that miss x, i.e. P_i with x_i != 0."""
     support = x.support_mask if isinstance(x, Element) else x.mask
-    return TopSet(ring.full_mask & support, ring.k)
+    return ring.full_mask & support
 
 
-def zero_set(ring: Ring, x: Element | Ideal) -> TopSet:
-    """h(x): the primes that contain x, i.e. P_i with x_i == 0."""
-    return TopSet(ring.full_mask & ~cozero_set(ring, x).mask, ring.k)
+def zero_set(ring: Ring, x: Element | Ideal) -> int:
+    """h(x) as a mask over prime indices: the primes that contain x, i.e. P_i with x_i == 0."""
+    return ring.full_mask & ~cozero_set(ring, x)
 
 
 def base_open_sets(ring: Ring) -> int:
@@ -106,33 +83,32 @@ def base_open_sets(ring: Ring) -> int:
     return (2 << ring.full_mask) - 1
 
 
-def interior(ring: Ring, a: TopSet) -> TopSet:
-    """Union of the base open sets contained in `a`.
+def interior(ring: Ring, a: int) -> int:
+    """Union of the base open sets contained in the set of primes `a`.
 
     The base sets inside `a` are the members of the base among the submasks
     of `a`; coordinate i is in the union when one of them has bit i.
     """
     _, has, _ = _lattice(ring.k)
-    inside = _closed_down(has, 1 << a.mask) & base_open_sets(ring)
-    return TopSet(sum(1 << i for i, h in enumerate(has) if inside & h), ring.k)
+    inside = _closed_down(has, 1 << a) & base_open_sets(ring)
+    return sum(1 << i for i, h in enumerate(has) if inside & h)
 
 
-def is_singleton(a: TopSet) -> bool:
-    return a.mask != 0 and a.mask & (a.mask - 1) == 0
+def is_singleton(a: int) -> bool:
+    return a != 0 and a & (a - 1) == 0
 
 
 def is_isolated_point(ring: Ring, p: int) -> bool:
     """A point is isolated when its singleton is open."""
-    single = TopSet(1 << p, ring.k)
-    return interior(ring, single) == single
+    return interior(ring, 1 << p) == 1 << p
 
 
-def kernel(ring: Ring, a: TopSet) -> Ideal:
+def kernel(ring: Ring, a: int) -> Ideal:
     """Intersection of the primes in `a`; the whole ring when `a` is empty.
 
     P_i is supported off coordinate i, so the intersection drops every bit of `a`.
     """
-    return Ideal(ring.full_mask & ~a.mask)
+    return Ideal(ring.full_mask & ~a)
 
 
 def bourbaki_primes(ring: Ring) -> BourbakiSet:
@@ -156,7 +132,7 @@ def fixed_place_status(ring: Ring) -> tuple[PlaceStatus, Ideal]:
     b = bourbaki_primes(ring)
     if not b.primes:
         return PlaceStatus.ANTI_FIXED_PLACE, Ideal(ring.full_mask)
-    ker = kernel(ring, TopSet(sum(1 << p.index for p in b.primes), ring.k))
+    ker = kernel(ring, sum(1 << p.index for p in b.primes))
     if ker.mask == 0:
         return PlaceStatus.FIXED_PLACE, ker
     return PlaceStatus.NEITHER, ker
@@ -196,7 +172,9 @@ class RetractReport:
 def retract_check(ring: Ring) -> RetractReport:
     """Check that I -> sz_closure(I) retracts the ideal graph onto itself.
 
-    Each closure is computed once.  When the closure fixes both a and b,
+    The members are the masks 0 < m < full, walked as ints; an `Ideal` is
+    built only as `sz_closure`'s argument and in a failure message.  Each
+    closure is computed once.  When the closure fixes both a and b,
     "a and b are disjoint" and "their closures are disjoint" are one test,
     and disjoint fixed members have distinct closures; so every edge that
     is not preserved, and every adjacency mismatch, has a moved member at
@@ -205,22 +183,19 @@ def retract_check(ring: Ring) -> RetractReport:
     closures are disjoint and distinct.  That is O(2^k) closures plus
     O(2^k * moved) small-int tests, O(4^k) only when most members move.
     """
-    members = annihilating_ideals(ring)
-    phi = {I.mask: sz_closure(ring, I).mask for I in members}
+    full = ring.full_mask
+    phi = {m: sz_closure(ring, Ideal(m)).mask for m in range(1, full)}
 
     failures = []
-    for I in members:
-        p = phi[I.mask]
+    for m, p in phi.items():
         if (phi[p] if p in phi else sz_closure(ring, Ideal(p)).mask) != p:
-            failures.append(f"closure of {I.render(ring)} is not fixed")
+            failures.append(f"closure of {Ideal(m).render(ring)} is not fixed")
     unfixed = len(failures)
 
-    masks = list(phi)
     moved = [m for m, p in phi.items() if p != m]
     mismatch = None
-    for i, a in enumerate(masks):
-        p = phi[a]
-        above = masks[i + 1:] if p != a else moved[bisect(moved, a):]
+    for a, p in phi.items():
+        above = range(a + 1, full) if p != a else moved[bisect(moved, a):]
         for b in above:
             q = phi[b]
             direct = a & b == 0

@@ -51,7 +51,6 @@ from .rings import (
 )
 from .spectrum import (
     PlaceStatus,
-    TopSet,
     bourbaki_primes,
     cozero_set,
     fixed_place_status,
@@ -330,9 +329,9 @@ def _na(check_id: str, witness: str, note: str) -> CheckRecord:
 def _predict_distance(ring: Ring, mu: int, mv: int) -> int:
     cu = cozero_set(ring, Ideal(mu))
     cv = cozero_set(ring, Ideal(mv))
-    if cu.intersect(cv).is_empty():
+    if cu & cv == 0:
         return 1
-    if not cu.union(cv).is_full():
+    if cu | cv != ring.full_mask:
         return 2
     return 3
 
@@ -340,7 +339,7 @@ def _predict_distance(ring: Ring, mu: int, mv: int) -> int:
 def _predict_orthogonal(ring: Ring, mu: int, mv: int) -> bool:
     cu = cozero_set(ring, Ideal(mu))
     cv = cozero_set(ring, Ideal(mv))
-    return cu.intersect(cv).is_empty() and cu.union(cv).is_full()
+    return cu & cv == 0 and cu | cv == ring.full_mask
 
 
 def _predict_on_triangle(ring: Ring, mask: int) -> bool:
@@ -430,7 +429,7 @@ def _suite_triangle(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: in
             out.append(_rec(check_id, pred, orc, Vertex(m, 0).render(), pred == orc))
     for G, check_id in ((Gg, "triangulated.gamma"), (Ga, "triangulated.ag")):
         # a class is off every triangle when its zero set is one prime: the kernel of {P_i}
-        pred = not any(kernel(ring, TopSet(1 << i, ring.k)).mask in G.classes for i in range(ring.k))
+        pred = not any(kernel(ring, 1 << i).mask in G.classes for i in range(ring.k))
         orc, failing = is_triangulated(G)
         witness = "" if failing is None else failing.render()
         out.append(_rec(check_id, pred, orc, witness, pred == orc))

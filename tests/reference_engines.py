@@ -49,16 +49,18 @@ its name and, as for `retract_walk`, its report class `WalkReport`.
 
 The rest are the whole-graph passes from before they became expressions
 over sets of masks: each steps through one Python object per class or
-ideal.  `base_open_sets` and `interior` walk the 2^k base sets as
-`TopSet`s; `is_triangulated` calls `is_triangle_vertex` on each class;
+ideal.  `base_open_sets` and `interior` walk the 2^k base sets one by
+one; `is_triangulated` calls `is_triangle_vertex` on each class;
 `edge_count` sums weight times reach over the classes from two
 `subset_products` tables; `_eccentricities` collects (size, weight >= 2)
 over every class; `_suite_triangle` predicts `triangulated.*` class by
 class; and `_suite_spectrum` checks `contained-in-maximal` member by
 member with `ideal_contains`, which is copied too.  They are copied
 verbatim.  The only edits: `interior` tests inclusion as a mask
-expression, since `TopSet.is_subset` is gone, and `edge_count` is a
-function of the graph rather than a method, so `self` reads `G`.
+expression, since `TopSet.is_subset` is gone; `base_open_sets` yields and
+`interior` takes and returns plain masks over prime indices, since
+`TopSet` itself is gone; and `edge_count` is a function of the graph
+rather than a method, so `self` reads `G`.
 """
 
 from __future__ import annotations
@@ -109,7 +111,6 @@ from zdgraph.rings import (
 from zdgraph.spectrum import RetractReport as WalkReport
 from zdgraph.spectrum import (
     PlaceStatus,
-    TopSet,
     bourbaki_primes,
     fixed_place_status,
     min_primes,
@@ -634,7 +635,7 @@ def retract_coords(ring: Ring) -> WalkReport:
     )
 
 
-def base_open_sets(ring: Ring) -> Iterable[TopSet]:
+def base_open_sets(ring: Ring) -> Iterable[int]:
     """The base {coz(a) : a in R}, one representative per support.
 
     Every subset of coordinates is the support of some element (a sum of the
@@ -643,19 +644,19 @@ def base_open_sets(ring: Ring) -> Iterable[TopSet]:
     """
     sub = full = ring.full_mask
     while True:
-        yield TopSet(sub, ring.k)
+        yield sub
         if sub == 0:
             break
         sub = (sub - 1) & full
 
 
-def interior(ring: Ring, a: TopSet) -> TopSet:
+def interior(ring: Ring, a: int) -> int:
     """Union of the base open sets contained in `a`."""
     out = 0
     for b in base_open_sets(ring):
-        if b.mask & ~a.mask == 0:
-            out |= b.mask
-    return TopSet(out, ring.k)
+        if b & ~a == 0:
+            out |= b
+    return out
 
 
 def is_triangulated(G: GraphView) -> tuple[bool, Vertex | None]:

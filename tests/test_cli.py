@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -85,6 +86,23 @@ class TestInspect:
         # the maximal annihilating ideals are the k minimal primes
         assert len(doc["maximal_annihilating"]) == k
         assert all(len(ideal.split(",")) == k - 1 for ideal in doc["maximal_annihilating"])
+
+    def test_twenty_factors_list_no_annihilating_ideals(self, capsys):
+        # maximality and the Bourbaki kernel are mask expressions: a few MB,
+        # first imports included; a list of the 2^20 - 2 annihilating
+        # `Ideal`s is far above 16 MB
+        qs = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "inspect", "--fields", ",".join(map(str, qs)), "--json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["fixed_place"] == "FixedPlace"
+        assert len(doc["maximal_annihilating"]) == len(qs)
+        assert peak < 16_000_000
 
     def test_non_squarefree_rejected(self, capsys):
         code, _, err = run(capsys, "inspect", "--zn", "12")

@@ -351,7 +351,7 @@ EXPORTS = [
     "MinPrime", "NoAnnihilatingIdeals", "NotAdditiveGroup", "NotCommutative", "NotReduced",
     "NotSquarefree", "NotUnital", "PlaceStatus", "PrimeFactors", "Registry", "RegistryEntry",
     "RetractReport", "Ring", "RingConstructionError", "SquarefreeModulus", "TableRing",
-    "TooManyElements", "TooManyFactors", "TopSet", "Verdict", "VerificationReport", "Vertex",
+    "TooManyElements", "TooManyFactors", "Verdict", "VerificationReport", "Vertex",
     "ZdgraphError", "annihilating_ideals", "annihilator_element", "bourbaki_primes", "build_ag",
     "build_gamma", "build_ring", "class_eccentricity", "cozero_set", "degree", "diameter",
     "distance", "domination", "eccentricity", "enumerate_ideals", "factor_squarefree",

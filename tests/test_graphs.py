@@ -6,6 +6,7 @@ import pytest
 from zdgraph import (
     Disconnected,
     EmptyGraph,
+    Ideal,
     PrimeFactors,
     SquarefreeModulus,
     Vertex,
@@ -26,6 +27,7 @@ from zdgraph import (
     orthogonal,
     radius,
     retract_check,
+    sz_closure,
     vertex_element,
     vertex_label,
 )
@@ -398,6 +400,24 @@ class TestRetract:
             assert rep.is_retraction
             assert rep.failures == ()
             assert rep.adjacency_mismatch is None
+
+    def test_k16_walks_masks_without_an_ideal_list(self):
+        # the closures of 2^16 - 2 plain masks peak near 7 MB; a list of that
+        # many `Ideal`s kept beside them peaked at 12-17 MB on Python 3.10-3.13
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+        ring = build_ring(PrimeFactors(primes))
+        # a closure that moves most ideals makes the check O(4^k), hours at k = 16
+        ends = (1, 2, ring.full_mask - 1)
+        assert [sz_closure(ring, Ideal(m)).mask for m in ends] == list(ends)
+        tracemalloc.start()
+        try:
+            rep = retract_check(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.is_retraction and rep.is_identity
+        assert rep.failures == () and rep.adjacency_mismatch is None
+        assert peak < 9_500_000
 
     def test_disconnected_error_type(self):
         assert issubclass(Disconnected, Exception)

@@ -6,7 +6,6 @@ from zdgraph import (
     PlaceStatus,
     PrimeFactors,
     SquarefreeModulus,
-    TopSet,
     bourbaki_primes,
     build_ring,
     cozero_set,
@@ -38,24 +37,24 @@ def test_zero_and_cozero_partition(z30):
     x = z30.from_residue(10)  # support {1}
     zs = zero_set(z30, x)
     cz = cozero_set(z30, x)
-    assert zs.mask == 0b101
-    assert cz.mask == 0b010
-    assert zs.union(cz).is_full()
-    assert zs.intersect(cz).is_empty()
+    assert zs == 0b101
+    assert cz == 0b010
+    assert zs | cz == z30.full_mask
+    assert zs & cz == 0
 
 
 def test_zero_set_relative_to_subspace(z30):
-    y = TopSet(0b011, 3)
+    y = 0b011
     x = z30.from_residue(10)
-    assert zero_set(z30, x).intersect(y).mask == 0b001
-    assert cozero_set(z30, x).intersect(y).mask == 0b010
+    assert zero_set(z30, x) & y == 0b001
+    assert cozero_set(z30, x) & y == 0b010
 
 
 def test_topology_is_discrete(z30):
     # every subset is a base open set, so interiors are trivial
     assert base_open_sets(z30) == (1 << 8) - 1
-    a = TopSet(0b110, 3)
-    assert interior(z30, a).mask == a.mask
+    a = 0b110
+    assert interior(z30, a) == a
     for i in range(3):
         assert is_isolated_point(z30, i)
 
@@ -70,16 +69,16 @@ def test_isolated_points_are_read_from_the_base(monkeypatch):
 
 
 def test_singletons():
-    assert is_singleton(TopSet(0b100, 3))
-    assert not is_singleton(TopSet(0, 3))
-    assert not is_singleton(TopSet(0b011, 3))
+    assert is_singleton(0b100)
+    assert not is_singleton(0)
+    assert not is_singleton(0b011)
 
 
 def test_kernel_is_support_complement(z30):
-    a = TopSet(0b101, 3)  # hull of these two primes
+    a = 0b101  # hull of these two primes
     assert kernel(z30, a) == Ideal(0b010)
-    assert kernel(z30, TopSet(0, 3)) == Ideal(0b111)
-    assert kernel(z30, TopSet(0b111, 3)) == Ideal(0)
+    assert kernel(z30, 0) == Ideal(0b111)
+    assert kernel(z30, 0b111) == Ideal(0)
 
 
 def test_bourbaki_primes_and_witnesses(z30):
