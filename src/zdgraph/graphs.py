@@ -423,22 +423,23 @@ class DominationResult:
 
 
 def domination(G: GraphView, total: bool = False) -> DominationResult:
-    """Exact minimum (total) dominating set size: two bounds, then exhaustive rounds.
+    """Exact minimum (total) dominating set size: two bounds, then one round of single copies.
 
-    A class either contributes nothing, one copy, or all of its copies;
-    one copy already dominates every disjoint class, and only a fully chosen
-    class dominates itself (copies are never adjacent, so for the total
-    variant self-cover never counts).  A choice set is two class bitsets:
-    `one` holds the classes with one copy chosen and `every` the classes
-    chosen whole.
+    One copy of a class dominates every disjoint class.  Copies are never
+    adjacent, so a class dominates itself only when it has one copy, and
+    never for the total variant.  A choice set is one class bitset, one copy
+    of each class in it.
 
     The upper bound is one copy of each single-coordinate class.  The lower
     bound packs the classes missing one coordinate that the empty choice
     leaves uncovered and that pairwise conflict, so that no one choice covers
     two of them.  From three factors on, and for the total variant, all k
-    conflict and the bounds meet.  Otherwise the rounds try every choice set
-    of cost lb, lb + 1, ... below the upper bound, one node per set, and the
-    first dominating set of the first round that has one is the answer.
+    conflict and the bounds meet; `InternalInconsistency` names them if not.
+    Otherwise k = 2, and the rounds run the costs from lb up to 1: each tries
+    every set of that many classes in class order, one node per set, and the
+    first dominating set is the answer.  Taking every copy of a class costs
+    its weight, at least 2, so below the upper bound every choice is one
+    copy of one class.
     """
     full = G.full_mask
     k = G.ring.k
@@ -446,69 +447,51 @@ def domination(G: GraphView, total: bool = False) -> DominationResult:
     # bit m is set when class m has one copy: m lies inside the size-2 coordinates
     weight_one = _closed_down(lat[1], 1 << G.twos) & lat[2]
 
-    def uncovered(one: int, every: int) -> int:
-        covered = _neighbors(lat, one | every)
+    def uncovered(one: int) -> int:
+        covered = _neighbors(lat, one)
         if not total:
-            covered |= every | (one & weight_one)
+            covered |= one & weight_one
         return lat[2] & ~covered
 
     def conflict(ma: int, mb: int) -> bool:
         return (ma | mb) == full and (total or (ma & mb) != 0)
 
-    left = uncovered(0, 0)
+    left = uncovered(0)
     pack: list[int] = []
     for m in sorted(full ^ (1 << i) for i in range(k)):
         if left >> m & 1 and all(conflict(m, p) for p in pack):
             pack.append(m)
+    if len(pack) < k and k > 2:
+        raise InternalInconsistency(
+            f"domination bounds differ at {k} factors: lower bound {len(pack)}, upper bound {k}"
+        )
 
-    # (cost, one, every): one copy of each single-coordinate class
-    best = (k, sum(1 << (1 << b) for b in range(k)), 0)
+    # one copy of each single-coordinate class
+    best = sum(1 << (1 << b) for b in range(k))
     nodes = 0
     for cost in range(len(pack), k):
         found = None
-        for one, every in _choice_sets(G, cost):
+        for picked in itertools.combinations(G.classes, cost):
             nodes += 1
             if nodes > DOMINATION_NODE_BUDGET:
                 break
-            if found is None and not uncovered(one, every):
-                found = (cost, one, every)
-        best = found or best
-        if found or nodes > DOMINATION_NODE_BUDGET:
+            one = sum(1 << m for m in picked)
+            if found is None and not uncovered(one):
+                found = one
+        best = found if found is not None else best
+        if found is not None or nodes > DOMINATION_NODE_BUDGET:
             break
 
-    size, one, every = best
-    witness = [Vertex(m, 0) for m in iter_bits(one)]
-    witness += [Vertex(m, c) for m in iter_bits(every) for c in range(G.weight(m))]
-    witness.sort(key=lambda v: (v.mask, v.copy))
-
+    witness = [Vertex(m, 0) for m in iter_bits(best)]
     _validate_domination(G, witness, total)
     return DominationResult(
-        size=size,
+        size=len(witness),
         witness=tuple(witness),
         certified=nodes <= DOMINATION_NODE_BUDGET,
         total=total,
         nodes=nodes,
         root_lower_bound=len(pack),
     )
-
-
-def _choice_sets(G: GraphView, cost: int) -> Iterator[tuple[int, int]]:
-    """Every choice set of exactly this cost, as (one, every) class bitsets.
-
-    A choice is one copy of a class, or all of its copies when it has
-    several.  A set takes at most one choice per class, and each choice
-    costs at least one copy, so it holds at most `cost` of them.
-    """
-    # (cost, class, whole)
-    choices = [(1, m, False) for m in G.classes]
-    choices += [(G.weight(m), m, True) for m in G.classes if m & ~G.twos]
-    for r in range(cost + 1):
-        for picked in itertools.combinations(choices, r):
-            if sum(c for c, _, _ in picked) == cost and len({m for _, m, _ in picked}) == r:
-                yield (
-                    sum(1 << m for _, m, whole in picked if not whole),
-                    sum(1 << m for _, m, whole in picked if whole),
-                )
 
 
 def _validate_domination(G: GraphView, witness: list[Vertex], total: bool) -> None:

@@ -5,8 +5,18 @@ import tracemalloc
 
 import pytest
 
-from zdgraph import InternalInconsistency, SquarefreeModulus, Vertex, build_gamma, build_ring, girth_through
-from zdgraph import cli, graphs
+from zdgraph import (
+    InternalInconsistency,
+    PrimeFactors,
+    SquarefreeModulus,
+    Vertex,
+    build_ag,
+    build_gamma,
+    build_ring,
+    girth_through,
+    is_triangulated,
+)
+from zdgraph import cli, graphs, rings, spectrum
 from zdgraph.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATIONS, main
 from zdgraph.tables import table_to_json, zn_tables
 
@@ -103,6 +113,37 @@ class TestInspect:
         assert doc["fixed_place"] == "FixedPlace"
         assert len(doc["maximal_annihilating"]) == len(qs)
         assert peak < 16_000_000
+
+    def test_whole_graph_facts_scan_no_classes(self, capsys, monkeypatch):
+        # maximality, the Bourbaki kernel, triangulation and isolated points
+        # are mask expressions and radius runs one BFS per class size; a walk
+        # over the 2^12 - 2 classes or ideals makes thousands of these calls
+        qs = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        calls = dict.fromkeys(("Ideal", "_class_depth", "weight", "is_triangle_vertex", "ideal lists"), 0)
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(rings.Ideal, "__init__", counted("Ideal", rings.Ideal.__init__))
+        monkeypatch.setattr(graphs.GraphView, "weight", counted("weight", graphs.GraphView.weight))
+        for name in ("_class_depth", "is_triangle_vertex"):
+            monkeypatch.setattr(graphs, name, counted(name, getattr(graphs, name)))
+        for module in (rings, spectrum):
+            for name in ("annihilating_ideals", "enumerate_ideals"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted("ideal lists", getattr(module, name)))
+
+        code, out, _ = run(capsys, "inspect", "--fields", ",".join(map(str, qs)), "--json")
+        assert code == EXIT_OK and json.loads(out)["gamma"]["radius"] == 2
+        ring = build_ring(PrimeFactors(qs))
+        # a class missing one coordinate is disjoint from one class only
+        assert all(not is_triangulated(G)[0] for G in (build_gamma(ring), build_ag(ring)))
+        assert all(spectrum.is_isolated_point(ring, p) for p in range(len(qs)))
+        assert all(count <= 5 * len(qs) for count in calls.values()), calls
 
     def test_non_squarefree_rejected(self, capsys):
         code, _, err = run(capsys, "inspect", "--zn", "12")
@@ -489,6 +530,17 @@ class TestInternalInconsistency:
         code, out, err = run(capsys, "dominate", "--zn", "6", "--graph", "gamma", "--json")
         assert code == EXIT_INTERNAL
         assert "zdgraph: internal inconsistency: class" in err and "not dominated" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_domination_bounds_differ_at_three_factors(self, capsys, monkeypatch):
+        # the empty choice seems to cover class {2,3} only, so the pack holds
+        # two classes against the three single coordinates
+        real = graphs._neighbors
+        monkeypatch.setattr(graphs, "_neighbors", lambda lat, bits: real(lat, bits) if bits else 1 << 0b110)
+        code, out, err = run(capsys, "dominate", "--zn", "30", "--graph", "gamma", "--json")
+        assert code == EXIT_INTERNAL
+        assert "zdgraph: internal inconsistency: domination bounds differ at 3 factors" in err
+        assert "lower bound 2" in err and "upper bound 3" in err
         assert "Traceback" not in err and out == ""
 
 
