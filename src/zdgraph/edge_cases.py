@@ -9,9 +9,8 @@ an unregistered violation and makes verification exit nonzero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InputFormatError
 from .rings import Ring
@@ -22,8 +21,7 @@ ENTRY_KEYS = ("check_id", "applies", "reason")
 APPLIES_KEYS = ("k", "has_factor_2")
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     check_id: str
     k: int | None
     has_factor_2: bool | None
@@ -39,8 +37,7 @@ class RegistryEntry:
         return True
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(NamedTuple):
     entries: tuple[RegistryEntry, ...]
 
     def lookup(self, check_id: str, ring: Ring) -> RegistryEntry | None:
@@ -92,6 +89,9 @@ def load_registry(path: str | Path | None = None) -> Registry:
     if path is not None:
         source = Path(path)
     else:
+        # imported here: from Python 3.12 on it imports `inspect` (see Start-up in README)
+        from importlib import resources
+
         source = resources.files("zdgraph.data").joinpath("registered_edge_cases.json")
     try:
         obj = json.loads(source.read_text(encoding="utf-8"))

@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Disconnected, EmptyGraph, InternalInconsistency
 from .rings import (
@@ -37,8 +37,7 @@ Infinite = math.inf
 DOMINATION_NODE_BUDGET = 500_000
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """One vertex of a compressed graph: a support class and a copy index."""
 
     mask: int
@@ -104,6 +103,9 @@ class GraphView:
                 yield Vertex(m, c)
 
     def check_vertex(self, v: Vertex) -> None:
+        # every class has a copy 0, so that needs only the class range
+        if v.copy == 0 and 0 < v.mask < self.full_mask:
+            return
         if not 0 <= v.copy < self.weight(v.mask):
             raise ValueError(f"copy {v.copy} out of range for class {v.render()}")
 
@@ -303,8 +305,7 @@ def orthogonal(G: GraphView, u: Vertex, v: Vertex) -> bool:
 # shortest cycle through a pair (two vertex-disjoint paths by two searches)
 
 
-@dataclass(frozen=True)
-class GirthResult:
+class GirthResult(NamedTuple):
     """Shortest cycle through a vertex pair; length is inf when none exists.
 
     The two searches are always exact, so `bound_used` is always 2 and
@@ -412,8 +413,7 @@ def girth_through(G: GraphView, u: Vertex, v: Vertex) -> GirthResult:
 # domination
 
 
-@dataclass(frozen=True)
-class DominationResult:
+class DominationResult(NamedTuple):
     size: int
     witness: tuple[Vertex, ...]
     certified: bool

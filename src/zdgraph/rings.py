@@ -15,7 +15,7 @@ import math
 import operator
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     InputFormatError,
@@ -135,25 +135,26 @@ def render_support(mask: int) -> str:
 # ring specifications
 
 
-@dataclass(frozen=True)
-class SquarefreeModulus:
+class SquarefreeModulus(NamedTuple):
     """Z_n for squarefree n; factors are listed in ascending order."""
 
     n: int
 
 
-@dataclass(frozen=True)
-class PrimeFactors:
-    """An explicit product of prime fields, in the given coordinate order."""
-
+class _PrimeFactors(NamedTuple):
     primes: tuple[int, ...]
 
-    def __init__(self, primes: Iterable[int]):
-        object.__setattr__(self, "primes", tuple(primes))
+
+class PrimeFactors(_PrimeFactors):
+    """An explicit product of prime fields, in the given coordinate order."""
+
+    __slots__ = ()
+
+    def __new__(cls, primes: Iterable[int]):
+        return super().__new__(cls, tuple(primes))
 
 
-@dataclass(frozen=True)
-class TableRing:
+class TableRing(NamedTuple):
     """A ring given by addition and multiplication tables over indices 0..size-1."""
 
     size: int
@@ -169,8 +170,11 @@ RingSpec = SquarefreeModulus | PrimeFactors | TableRing
 # elements and ideals
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
+def _read_only(self, name: str, *value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class Element(NamedTuple):
     """A ring element as its coordinate tuple; `Ring.label` renders it."""
 
     coords: tuple[int, ...]
@@ -183,11 +187,27 @@ class Element:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
 class Ideal:
     """An ideal of a product of fields: all elements supported inside `mask`."""
 
-    mask: int
+    __slots__ = ("mask",)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, mask: int):
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other: object) -> bool:
+        return self.mask == other.mask if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mask,))
+
+    def __repr__(self) -> str:
+        return f"Ideal(mask={self.mask!r})"
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through __init__, as slots cannot be assigned
+        return self.__class__, (self.mask,)
 
     def render(self, ring: "Ring | None" = None) -> str:
         if ring is not None and ring.modulus is not None:
@@ -203,7 +223,6 @@ class Ideal:
 # the ring
 
 
-@dataclass(frozen=True)
 class Ring:
     """A product of prime fields F_q1 x ... x F_qk.
 
@@ -215,24 +234,33 @@ class Ring:
     them for every record.
     """
 
-    qs: tuple[int, ...]
-    modulus: int | None = None
-    table_iso: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
-    _crt_basis: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _zero: Element = field(init=False, repr=False, compare=False)
-    k: int = field(init=False, repr=False, compare=False)
-    full_mask: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("qs", "modulus", "table_iso", "k", "full_mask", "_zero", "_crt_basis")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
+    def __init__(self, qs: tuple[int, ...], modulus: int | None = None, table_iso: tuple | None = None):
+        n = modulus
+        if n is not None and n != math.prod(qs):
+            raise ValueError(f"modulus {n} is not the product of the factors {qs}")
         # basis[i] = (n/qi) * inverse(n/qi mod qi), so coords map back by a dot product
-        n = self.modulus
-        if n is not None and n != math.prod(self.qs):
-            raise ValueError(f"modulus {n} is not the product of the factors {self.qs}")
-        basis = () if n is None else tuple(n // q * pow(n // q, -1, q) % n for q in self.qs)
-        object.__setattr__(self, "_crt_basis", basis)
-        object.__setattr__(self, "_zero", Element((0,) * len(self.qs)))
-        object.__setattr__(self, "k", len(self.qs))
-        object.__setattr__(self, "full_mask", (1 << self.k) - 1)
+        basis = () if n is None else tuple(n // q * pow(n // q, -1, q) % n for q in qs)
+        k = len(qs)
+        values = (qs, modulus, table_iso, k, (1 << k) - 1, Element((0,) * k), basis)
+        for name, value in zip(Ring.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.qs, self.modulus) == (other.qs, other.modulus)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.qs, self.modulus))
+
+    def __repr__(self) -> str:
+        return f"Ring(qs={self.qs!r}, modulus={self.modulus!r}, table_iso={self.table_iso!r})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.qs, self.modulus, self.table_iso)
 
     @property
     def size(self) -> int:

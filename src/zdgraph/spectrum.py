@@ -15,8 +15,8 @@ O(k) big-int operations, and objects are built only for what is returned.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NoAnnihilatingIdeals
 from .rings import (
@@ -31,8 +31,7 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True)
-class MinPrime:
+class MinPrime(NamedTuple):
     """P_index: the minimal prime of everything vanishing at one coordinate."""
 
     index: int
@@ -50,8 +49,7 @@ class PlaceStatus(str, Enum):
     NEITHER = "Neither"
 
 
-@dataclass(frozen=True)
-class BourbakiSet:
+class BourbakiSet(NamedTuple):
     """The primes that occur as Ann(x), each with a witness element."""
 
     primes: tuple[MinPrime, ...]
@@ -148,8 +146,7 @@ def sz_closure(ring: Ring, ideal: Ideal) -> Ideal:
     return kernel(ring, zero_set(ring, ideal))
 
 
-@dataclass(frozen=True)
-class RetractReport:
+class RetractReport(NamedTuple):
     """Whether I -> sz_closure(I) retracts the ideal graph onto its closed ideals.
 
     `failures` names the closures that are not fixed, then the edges that

@@ -19,8 +19,8 @@ import json
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .edge_cases import Registry, load_registry
 from .errors import InputFormatError
@@ -120,8 +120,7 @@ _RECORD = (
 )
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     verdict: Verdict
     prediction: object
@@ -154,12 +153,11 @@ class CheckRecord:
         )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ring: dict
     suites: tuple[str, ...]
     seed: int
-    records: list[CheckRecord] = field(default_factory=list)
+    records: list[CheckRecord]
 
     def counts(self) -> dict[str, int]:
         c = {"confirmed": 0, "violated": 0, "violated_registered": 0, "not_applicable": 0}
@@ -672,12 +670,11 @@ def run_verification(
         else:
             records.extend(_na(cid, "", "the ring is a field; both graphs are empty") for cid in field_ids)
 
-    for record in records:
+    for i, record in enumerate(records):
         if record.verdict is Verdict.VIOLATED:
             entry = reg.lookup(record.check_id, ring)
             if entry is not None:
-                record.registered = True
-                record.note = entry.reason
+                records[i] = record._replace(registered=True, note=entry.reason)
 
     return VerificationReport(
         ring=ring.describe(), suites=chosen, seed=seed, records=records

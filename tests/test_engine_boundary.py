@@ -375,6 +375,20 @@ def _modules_after_command(*argv: str) -> set[str]:
     return _modules_after(f"from zdgraph.cli import main\nassert main({list(argv)!r}) == 0")
 
 
+def test_no_module_loads_dataclasses_or_inspect():
+    # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`, and execs
+    # generated code for each class: about 20 ms of every command's start-up.
+    # Modules `site` loaded before the script starts do not count
+    modules = ", ".join(f"zdgraph.{path.stem}" for path in MODULES if path.stem != "__init__")
+    script = (
+        f"import sys\nbefore = set(sys.modules)\nimport {modules}\n"
+        "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == []
+
+
 def test_import_loads_no_engine_module():
     assert _modules_after("import zdgraph") == {"zdgraph", "version"}
 

@@ -101,6 +101,18 @@ class TestConstruction:
         with pytest.raises(Exception):
             A.check_vertex(Vertex(0b001, copy=1))
 
+    def test_check_vertex_checks_the_class_of_copy_zero(self, z30):
+        # copy 0 skips the weight, but not the class range
+        G = build_gamma(z30)
+        for mask in (0, G.full_mask, G.full_mask + 1, -1):
+            with pytest.raises(ValueError, match="is not a vertex class"):
+                G.check_vertex(Vertex(mask))
+        # class {1,2} of Z/30 = F2 x F3 x F5 holds (2 - 1)(3 - 1) = 2 copies
+        assert G.check_vertex(Vertex(0b011, 1)) is None
+        for copy in (2, 3, -1):
+            with pytest.raises(ValueError, match=f"copy {copy} out of range"):
+                G.check_vertex(Vertex(0b011, copy))
+
 
 class TestDistance:
     def test_frozen_distances(self, z30):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -280,3 +282,68 @@ def test_field_ring():
     f7 = build_ring(SquarefreeModulus(7))
     assert f7.k == 1
     assert annihilating_ideals(f7) == []
+
+
+# ---------------------------------------------------------------------------
+# value types: read-only, with the field-wise repr, equality and hash
+
+
+def _value_types():
+    from zdgraph.edge_cases import Registry, RegistryEntry
+    from zdgraph.graphs import DominationResult, GirthResult, Vertex
+    from zdgraph.rings import TableRing
+    from zdgraph.spectrum import BourbakiSet, MinPrime, RetractReport
+
+    entry = RegistryEntry("radius.gamma", 2, None, "two factors")
+    return [
+        (Element((1, 0)), "coords"),
+        (Vertex(3, 1), "mask"),
+        (Ideal(0b101), "mask"),
+        (Ring((2, 3), 6), "qs"),
+        (Ring((2, 3), 6), "modulus"),
+        (Ring((2, 3), None, ((0, 0), (1, 1))), "table_iso"),
+        (Ring((2, 3)), "k"),
+        (Ring((2, 3)), "full_mask"),
+        (SquarefreeModulus(30), "n"),
+        (PrimeFactors([2, 3]), "primes"),
+        (TableRing(1, 0, ((0,),), ((0,),)), "add"),
+        (GirthResult(3.0, None), "length"),
+        (DominationResult(2, (), True, False, 0, 2), "size"),
+        (MinPrime(0, Ideal(0b10)), "ideal"),
+        (BourbakiSet((), ()), "primes"),
+        (RetractReport(True, True, True, (), None), "failures"),
+        (entry, "reason"),
+        (Registry((entry,)), "entries"),
+    ]
+
+
+@pytest.mark.parametrize("value, field", _value_types(), ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
+def test_value_types_are_read_only(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    # pickle and copy rebuild an equal value, the ring with its table map
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+def test_value_type_repr_equality_and_hash():
+    from zdgraph.graphs import GirthResult, Vertex
+
+    assert repr(Vertex(3)) == "Vertex(mask=3, copy=0)"
+    assert repr(Ideal(5)) == "Ideal(mask=5)"
+    assert repr(Element((1, 0))) == "Element(coords=(1, 0))"
+    assert repr(PrimeFactors([2, 3])) == "PrimeFactors(primes=(2, 3))"
+    assert repr(Ring((2, 3), 6)) == "Ring(qs=(2, 3), modulus=6, table_iso=None)"
+    assert repr(GirthResult(3.0, None)) == "GirthResult(length=3.0, cycle=None, bound_used=2, escalated=False)"
+    assert PrimeFactors([2, 3]).primes == (2, 3)
+    assert hash(build_ring(zn_tables(6))) == hash(build_ring(PrimeFactors((2, 3))))
+    # equality and hash read the factors and the modulus, never the table map
+    for ring in (Ring((2, 3), 6), Ring((2, 3)), Ring((3, 2), None, ((0, 0), (1, 1)))):
+        assert hash(ring) == hash((ring.qs, ring.modulus))
+    assert Ring((2, 3), 6) != Ring((2, 3)) and Ring((2, 3)) != Ring((3, 2))
+    assert Ring((2, 3), None, ((0, 0),)) == Ring((2, 3))
+    assert Ideal(5) == Ideal(5) != Ideal(4) and hash(Ideal(5)) == hash((5,))
+    assert Ideal(5) != Vertex(5) and Ring((2, 3)) != ((2, 3), None)
+    assert {Element((0, 1)), Element((0, 1))} == {Element((0, 1))} and Vertex(3) == Vertex(3, 0) != Vertex(3, 1)
