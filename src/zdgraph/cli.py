@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from pathlib import Path
 
 # Only what every command needs is imported here; each command imports the
@@ -22,7 +23,7 @@ from .errors import (
     TooManyFactors,
     ZdgraphError,
 )
-from .exports import check_target, graph_to_dot, graph_to_json, json_bytes, write_bytes_atomic
+from .exports import check_target, dot_chunks, graph_to_json, json_chunks, write_atomic
 from .rings import (
     DEFAULT_MAX_FACTORS,
     PrimeFactors,
@@ -83,12 +84,12 @@ def _ring_title(ring: Ring) -> str:
     return name
 
 
-def _emit(data: bytes, path: str | None = None) -> None:
-    """Write command output atomically to `path`, or to stdout without one."""
+def _emit(chunks: Iterable[str], path: str | None = None) -> None:
+    """Write command output chunk by chunk, atomically to `path`, or to stdout without one."""
     if path:
-        write_bytes_atomic(path, data)
+        write_atomic(path, chunks)
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.writelines(chunks)
 
 
 def _parse_suites(raw: str | None) -> tuple[str, ...] | None:
@@ -179,7 +180,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         doc["ag"] = None
 
     if args.json:
-        _emit(json_bytes(doc))
+        _emit(json_chunks(doc))
         return EXIT_OK
 
     print(f"ring {_ring_title(ring)} with {ring.size} elements")
@@ -210,10 +211,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     ring = _ring_from_args(args)
     G = build_gamma(ring) if args.graph == "gamma" else build_ag(ring)
     if args.format == "dot":
-        data = graph_to_dot(G, compressed=not args.explicit).encode("utf-8")
+        chunks = dot_chunks(G, compressed=not args.explicit)
     else:
-        data = json_bytes(graph_to_json(G, compressed=not args.explicit))
-    _emit(data, args.output)
+        chunks = json_chunks(graph_to_json(G, compressed=not args.explicit))
+    _emit(chunks, args.output)
     return EXIT_OK
 
 
@@ -235,7 +236,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         registry=registry,
     )
     if args.report:
-        write_bytes_atomic(args.report, report.to_json_bytes())
+        write_atomic(args.report, report.json_chunks())
     if not args.quiet:
         for line in report.summary_lines():
             print(line)
@@ -259,7 +260,7 @@ def _cmd_dominate(args: argparse.Namespace) -> int:
             "witness": labels,
             "nodes_explored": result.nodes,
         }
-        _emit(json_bytes(doc))
+        _emit(json_chunks(doc))
         return EXIT_OK
     flavor = "total dominating" if args.total else "dominating"
     certified = "certified" if result.certified else "NOT certified (budget hit)"
@@ -300,7 +301,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         report = run_verification(
             ring, suites=suites, seed=args.seed, per_signature_cap=args.pair_cap, registry=registry
         )
-        write_bytes_atomic(out_dir / f"zn{n:04d}.json", report.to_json_bytes())
+        write_atomic(out_dir / f"zn{n:04d}.json", report.json_chunks())
         c = report.counts()
         for key in totals:
             totals[key] += c[key]

@@ -9,6 +9,7 @@ an unregistered violation and makes verification exit nonzero.
 from __future__ import annotations
 
 import json
+import pkgutil
 from pathlib import Path
 from typing import NamedTuple
 
@@ -19,6 +20,7 @@ REGISTRY_FORMAT = 1
 # a misspelt key would otherwise be ignored and the entry match every ring
 ENTRY_KEYS = ("check_id", "applies", "reason")
 APPLIES_KEYS = ("k", "has_factor_2")
+_BUNDLED = "data/registered_edge_cases.json"
 
 
 class RegistryEntry(NamedTuple):
@@ -86,19 +88,15 @@ def _parse_registry(obj: object) -> Registry:
 
 
 def load_registry(path: str | Path | None = None) -> Registry:
-    if path is not None:
-        source = Path(path)
-    else:
-        # imported here: from Python 3.12 on it imports `inspect` (see Start-up in README)
-        from importlib import resources
-
-        source = resources.files("zdgraph.data").joinpath("registered_edge_cases.json")
+    # the bundled file is read through the package's loader, so a zipped package
+    # works too; `importlib.resources` would import `inspect` from Python 3.12 on
+    data = pkgutil.get_data("zdgraph", _BUNDLED) if path is None else Path(path).read_bytes()
     try:
-        obj = json.loads(source.read_text(encoding="utf-8"))
+        obj = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"registry is not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # text that is not UTF-8, an integer too long to convert, or nesting
         # too deep for the decoder
-        raise InputFormatError(f"cannot read registry {source}: {exc}") from exc
+        raise InputFormatError(f"cannot read registry {_BUNDLED if path is None else path}: {exc}") from exc
     return _parse_registry(obj)

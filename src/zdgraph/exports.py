@@ -1,10 +1,15 @@
-"""Graph export to DOT and JSON, with deterministic byte output."""
+"""Graph export to DOT and JSON, with deterministic byte output.
+
+Outputs are streams of str chunks that `write_atomic` writes as they come, so
+none is held whole; `json_bytes` and `graph_to_dot` join the same chunks.
+"""
 
 from __future__ import annotations
 
 import errno
 import json
 import os
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .errors import TooManyElements
@@ -62,27 +67,39 @@ def graph_to_json(G: GraphView, compressed: bool = True) -> dict:
     }
 
 
+def json_chunks(doc: dict) -> Iterator[str]:
+    """`doc` as `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)` plus a newline, in pieces."""
+    yield from json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).iterencode(doc)
+    yield "\n"
+
+
 def json_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return "".join(json_chunks(doc)).encode("utf-8")
 
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(G: GraphView, compressed: bool = True) -> str:
+def dot_chunks(G: GraphView, compressed: bool = True) -> Iterator[str]:
+    """The DOT text of a graph form, one line at a time."""
     _, edges, labels = _graph_parts(G, compressed)
-    lines = [f"graph {_graph_name(G)} {{", "  node [shape=circle];"]
-    lines += [f"  n{i} [label={_quote(label)}];" for i, label in enumerate(labels)]
-    lines += [f"  n{i} -- n{j};" for i, j in edges]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield f"graph {_graph_name(G)} {{\n  node [shape=circle];\n"
+    for i, label in enumerate(labels):
+        yield f"  n{i} [label={_quote(label)}];\n"
+    for i, j in edges:
+        yield f"  n{i} -- n{j};\n"
+    yield "}\n"
+
+
+def graph_to_dot(G: GraphView, compressed: bool = True) -> str:
+    return "".join(dot_chunks(G, compressed))
 
 
 def check_target(path: str | Path) -> Path:
     """`path` as a file to write; a directory, or a missing or non-directory parent, raises under its name.
 
-    Commands call this before any work; `write_bytes_atomic` before its temp file, which would misname it.
+    Commands call this before any work; `write_atomic` before its temp file, which would misname it.
     """
     target = Path(path)
     if target.is_dir():
@@ -93,12 +110,13 @@ def check_target(path: str | Path) -> Path:
     return target
 
 
-def write_bytes_atomic(path: str | Path, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write str chunks as UTF-8 via a sibling temp file and rename; a failed stream leaves the target as it was."""
     target = check_target(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)

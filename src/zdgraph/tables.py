@@ -76,32 +76,37 @@ def _is_index(v, size: int) -> bool:
 
 
 def _parse_matrix(obj, size: int, name: str) -> tuple[tuple[int, ...], ...]:
+    """The rows of a decoded matrix as tuples: every shape error first, then the first bad entry.
+
+    Each nested row list of `obj` is replaced by its tuple as soon as that row
+    is validated, so at most one row exists twice; a flat `obj` is left as is.
+    """
     if not isinstance(obj, list):
         raise InputFormatError(f"{name} must be a list")
     if obj and not any(issubclass(t, list) for t in set(map(type, obj))):
         if len(obj) != size * size:
             raise InputFormatError(f"flat {name} must have {size * size} entries")
-        rows = [tuple(obj[i * size:(i + 1) * size]) for i in range(size)]
+        rows = [obj[i * size:(i + 1) * size] for i in range(size)]
     else:
         if len(obj) != size:
             raise InputFormatError(f"{name} must have {size} rows")
-        rows = []
         for r in obj:
             if not isinstance(r, list) or len(r) != size:
                 raise InputFormatError(f"every {name} row must have {size} entries")
-            rows.append(tuple(r))
-    for row in rows:
+        rows = obj
+    for i, row in enumerate(rows):
         # a row of plain ints in range passes whole; any other row is scanned
         # entry by entry, which names its first bad entry
-        if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < size:
-            continue
-        for v in row:
-            if not _is_index(v, size):
-                raise InputFormatError(f"{name} entry {v!r} is not an index below {size}")
+        if not (set(map(type, row)) == {int} and min(row) >= 0 and max(row) < size):
+            for v in row:
+                if not _is_index(v, size):
+                    raise InputFormatError(f"{name} entry {v!r} is not an index below {size}")
+        rows[i] = tuple(row)
     return tuple(rows)
 
 
-def table_from_json(obj) -> TableRing:
+def _table_from_document(obj) -> TableRing:
+    """`table_from_json` on a document it may change: nested row lists become tuples in place."""
     if not isinstance(obj, dict):
         raise InputFormatError("table document must be a JSON object")
     try:
@@ -116,6 +121,16 @@ def table_from_json(obj) -> TableRing:
     add = _parse_matrix(obj.get("add"), size, "add")
     mul = _parse_matrix(obj.get("mul"), size, "mul")
     return TableRing(size=size, one=one, add=add, mul=mul)
+
+
+def table_from_json(obj) -> TableRing:
+    """The table ring of a decoded JSON document, which is left unchanged.
+
+    The parse converts rows in place, so it gets copies of the outer `add` and `mul` lists.
+    """
+    if isinstance(obj, dict):
+        obj = {**obj, **{key: obj[key][:] for key in ("add", "mul") if isinstance(obj.get(key), list)}}
+    return _table_from_document(obj)
 
 
 class _IntPool(dict):
@@ -139,7 +154,7 @@ def load_table_file(path: str) -> TableRing:
             obj = json.load(fh, parse_int=_IntPool().__getitem__)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputFormatError(f"cannot read table file {path}: {exc}") from exc
-    return table_from_json(obj)
+    return _table_from_document(obj)
 
 
 # ---------------------------------------------------------------------------

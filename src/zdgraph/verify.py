@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from typing import NamedTuple
 
@@ -196,15 +196,22 @@ class VerificationReport(NamedTuple):
     def to_dict(self) -> dict:
         return self._document([r.to_dict() for r in self._sorted_records()])
 
-    def to_json_bytes(self) -> bytes:
-        """The bytes of `exports.json_bytes(self.to_dict())`, written without building that dict."""
+    def json_chunks(self) -> Iterator[str]:
+        """The text of `exports.json_bytes(self.to_dict())`: envelope head, one chunk per record, tail."""
         # the envelope's "records": [] sits on a line of its own, two spaces
         # deep, where no nested key or encoded string can match it
-        text = _json(self._document([]), "")
-        records = ",\n".join([r.to_json() for r in self._sorted_records()])
-        if records:
-            text = text.replace('\n  "records": []', '\n  "records": [\n' + records + "\n  ]", 1)
-        return (text + "\n").encode("utf-8")
+        head, empty, tail = _json(self._document([]), "").partition('\n  "records": []')
+        records = self._sorted_records()
+        if not records:
+            yield head + empty + tail + "\n"
+            return
+        yield head + '\n  "records": [\n' + records[0].to_json()
+        for r in records[1:]:
+            yield ",\n" + r.to_json()
+        yield "\n  ]" + tail + "\n"
+
+    def to_json_bytes(self) -> bytes:
+        return "".join(self.json_chunks()).encode("utf-8")
 
     def summary_lines(self) -> list[str]:
         c = self.counts()

@@ -41,6 +41,7 @@ import os
 import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -378,15 +379,34 @@ def _modules_after_command(*argv: str) -> set[str]:
 def test_no_module_loads_dataclasses_or_inspect():
     # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`, and execs
     # generated code for each class: about 20 ms of every command's start-up.
-    # Modules `site` loaded before the script starts do not count
+    # Modules `site` loaded before the script starts do not count.  `verify`
+    # also reads the bundled registry, which through `importlib.resources`
+    # would load `inspect` from Python 3.12 on
     modules = ", ".join(f"zdgraph.{path.stem}" for path in MODULES if path.stem != "__init__")
     script = (
         f"import sys\nbefore = set(sys.modules)\nimport {modules}\n"
+        "assert zdgraph.cli.main(['verify', '--zn', '30', '--quiet']) == 0\n"
         "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.split() == []
+
+
+def test_bundled_registry_loads_from_a_zipped_package(tmp_path):
+    archive = tmp_path / "zdgraph.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(PACKAGE.rglob("*")):
+            if path.suffix in (".py", ".json"):
+                zf.write(path, path.relative_to(PACKAGE.parent).as_posix())
+    script = "import zdgraph\nprint(zdgraph.__file__)\nprint(len(zdgraph.load_registry().entries))"
+    env = dict(os.environ, PYTHONPATH=str(archive))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path, check=True
+    )
+    origin, entries = done.stdout.split()
+    assert Path(origin).is_relative_to(archive)
+    assert int(entries) == len(zdgraph.load_registry().entries) > 0
 
 
 def test_import_loads_no_engine_module():

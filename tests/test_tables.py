@@ -1,7 +1,9 @@
+import copy
 import functools
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,42 @@ def test_loaded_entries_share_one_int_per_value(tmp_path):
     t = load_table_file(path)
     entries = [v for matrix in (t.add, t.mul) for row in matrix for v in row]
     assert len({id(v) for v in entries}) == len(set(entries)) == 330
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["nested", "flat"])
+def test_table_from_json_leaves_its_document(flat):
+    doc = table_to_json(zn_tables(6))
+    if flat:
+        doc["add"] = [v for row in doc["add"] for v in row]
+    before = copy.deepcopy(doc)
+    outer = {key: doc[key] for key in ("add", "mul")}
+    inner = {key: list(doc[key]) for key in ("add", "mul")}
+    assert table_from_json(doc) == zn_tables(6)
+    assert doc == before
+    for key in ("add", "mul"):
+        assert doc[key] is outer[key]
+        assert all(a is b for a, b in zip(doc[key], inner[key], strict=True))
+
+
+def test_load_table_file_peaks_as_json_load_does(tmp_path):
+    # each row list is replaced by its tuple as soon as it is validated, so
+    # the decoded lists and their tuples never all exist at once
+    path = tmp_path / "z330.json"
+    path.write_text(json.dumps(table_to_json(zn_tables(330))))
+
+    def peak(load) -> int:
+        tracemalloc.start()
+        try:
+            load()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def decode():
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_int=tables._IntPool().__getitem__)
+
+    assert peak(lambda: load_table_file(path)) <= 1.05 * peak(decode)
 
 
 MALFORMED_DOCS = [
