@@ -23,7 +23,7 @@ from .errors import (
     TooManyFactors,
     ZdgraphError,
 )
-from .exports import check_target, dot_chunks, graph_to_json, json_chunks, write_atomic
+from .exports import check_target, dot_chunks, graph_json_chunks, json_chunks, write_atomic
 from .rings import (
     DEFAULT_MAX_FACTORS,
     PrimeFactors,
@@ -213,7 +213,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.format == "dot":
         chunks = dot_chunks(G, compressed=not args.explicit)
     else:
-        chunks = json_chunks(graph_to_json(G, compressed=not args.explicit))
+        chunks = graph_json_chunks(G, compressed=not args.explicit)
     _emit(chunks, args.output)
     return EXIT_OK
 

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from .edge_cases import Registry, load_registry
 from .errors import InputFormatError
+from .exports import _json, json_chunks
 from .graphs import (
     GraphView,
     Vertex,
@@ -91,11 +92,6 @@ def _render(value: object) -> object:
     if isinstance(value, dict):
         return {str(k): _render(v) for k, v in value.items()}
     return str(value)
-
-
-def _json(value: object, indent: str) -> str:
-    """`value` as `json_bytes` writes it `indent` deep: exact, as encoded strings hold no raw newline."""
-    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
 
 
 _string = json.encoder.encode_basestring
@@ -198,17 +194,7 @@ class VerificationReport(NamedTuple):
 
     def json_chunks(self) -> Iterator[str]:
         """The text of `exports.json_bytes(self.to_dict())`: envelope head, one chunk per record, tail."""
-        # the envelope's "records": [] sits on a line of its own, two spaces
-        # deep, where no nested key or encoded string can match it
-        head, empty, tail = _json(self._document([]), "").partition('\n  "records": []')
-        records = self._sorted_records()
-        if not records:
-            yield head + empty + tail + "\n"
-            return
-        yield head + '\n  "records": [\n' + records[0].to_json()
-        for r in records[1:]:
-            yield ",\n" + r.to_json()
-        yield "\n  ]" + tail + "\n"
+        return json_chunks(self._document([]), records=(r.to_json() for r in self._sorted_records()))
 
     def to_json_bytes(self) -> bytes:
         return "".join(self.json_chunks()).encode("utf-8")

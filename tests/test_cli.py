@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import tracemalloc
 
 import pytest
@@ -387,6 +388,46 @@ class TestVerify:
     def test_missing_table_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--table", str(tmp_path / "absent.json"))
         assert code == EXIT_INPUT
+
+
+class TestTargets:
+    """An output path that is a symlink is written through; one that is no regular file is refused."""
+
+    COMMANDS = [("export", "--zn", "30", "--graph", "ag", "--output"), ("verify", "--zn", "30", "--report")]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["export", "verify"])
+    @pytest.mark.parametrize("existing", [True, False], ids=["to-file", "to-missing-file"])
+    def test_symlink_is_written_through(self, capsys, tmp_path, argv, existing):
+        (tmp_path / "sub").mkdir()
+        real = tmp_path / "sub" / "real.json"
+        if existing:
+            real.write_bytes(b"old bytes\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(os.path.join("sub", "real.json"))
+        code, _, err = run(capsys, *argv, str(link))
+        assert code == EXIT_OK, err
+        assert link.is_symlink() and os.readlink(link) == os.path.join("sub", "real.json")
+        assert run(capsys, *argv, str(tmp_path / "direct.json"))[0] == EXIT_OK
+        assert real.read_bytes() == (tmp_path / "direct.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.json", "link.json", "sub"]
+        assert list((tmp_path / "sub").iterdir()) == [real]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["export", "verify"])
+    @pytest.mark.parametrize("kind", ["fifo", "link-to-fifo", "symlink-loop"])
+    def test_non_regular_target_is_refused_before_any_work(self, capsys, tmp_path, monkeypatch, argv, kind):
+        os.mkfifo(tmp_path / "fifo")
+        (tmp_path / "link-to-fifo").symlink_to("fifo")
+        (tmp_path / "symlink-loop").symlink_to("loop-back")
+        (tmp_path / "loop-back").symlink_to("symlink-loop")
+        before = sorted((p.name, os.lstat(p).st_mode) for p in tmp_path.iterdir())
+        refuse_ring_building(monkeypatch)
+        target = tmp_path / kind
+        code, out, err = run(capsys, *argv, str(target))
+        assert code == EXIT_INPUT
+        assert f"Not a regular file: '{target}'" in err
+        assert ".tmp" not in err and "Traceback" not in err and out == ""
+        assert sorted((p.name, os.lstat(p).st_mode) for p in tmp_path.iterdir()) == before
+        assert stat.S_ISFIFO(os.lstat(tmp_path / "fifo").st_mode)
 
 
 class TestDominate:

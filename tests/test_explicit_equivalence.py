@@ -132,7 +132,7 @@ def test_domination_exhaustive(pair):
         assert domination(G, total=total).size == size
 
 
-@pytest.mark.parametrize("n", [6, 30, 105])
+@pytest.mark.parametrize("n", [6, 30, 105, 210])
 @pytest.mark.parametrize(
     "kind, oracle", [("gamma", gamma_from_multiplication), ("ag", ag_from_ideal_products)]
 )

@@ -13,7 +13,7 @@ import pytest
 from zdgraph import SquarefreeModulus, build_ag, build_gamma, build_ring, domination, run_verification
 from zdgraph.cli import EXIT_OK, main
 from zdgraph.corpus import squarefree_moduli
-from zdgraph.exports import graph_to_dot, graph_to_json, json_bytes
+from zdgraph.exports import dot_chunks, graph_json_chunks
 from zdgraph.tables import table_to_json, zn_tables
 
 # sha256 of run_verification(ring, seed=0).to_json_bytes(), in canonical_corpus() order
@@ -365,9 +365,8 @@ def test_verdict_counts(corpus):
 def _export_bytes(n: int, kind: str, fmt: str, compressed: bool) -> bytes:
     ring = build_ring(SquarefreeModulus(n))
     G = build_gamma(ring) if kind == "gamma" else build_ag(ring)
-    if fmt == "json":
-        return json_bytes(graph_to_json(G, compressed=compressed))
-    return graph_to_dot(G, compressed=compressed).encode("utf-8")
+    chunks = graph_json_chunks if fmt == "json" else dot_chunks
+    return "".join(chunks(G, compressed=compressed)).encode("utf-8")
 
 
 @pytest.mark.parametrize("n, kind, fmt", sorted(EXPLICIT_EXPORT_SHA256))
