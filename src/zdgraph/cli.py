@@ -18,7 +18,6 @@ from pathlib import Path
 from .errors import (
     InputFormatError,
     InternalInconsistency,
-    NoAnnihilatingIdeals,
     TooManyElements,
     TooManyFactors,
     ZdgraphError,
@@ -162,11 +161,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     status, kern = fixed_place_status(ring)
     doc["fixed_place"] = status.value
     doc["bourbaki_kernel"] = kern.render(ring)
-    try:
-        doc["maximal_annihilating"] = [i.render(ring) for i in maximal_annihilating(ring)]
-    except NoAnnihilatingIdeals:
-        doc["maximal_annihilating"] = []
     if ring.k >= 2:
+        doc["maximal_annihilating"] = [i.render(ring) for i in maximal_annihilating(ring)]
         for kind, build in (("gamma", build_gamma), ("ag", build_ag)):
             G = build(ring)
             doc[kind] = {
@@ -176,8 +172,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 "radius": radius(G),
             }
     else:
-        doc["gamma"] = None
-        doc["ag"] = None
+        doc.update(maximal_annihilating=[], gamma=None, ag=None)
 
     if args.json:
         _emit(json_chunks(doc))

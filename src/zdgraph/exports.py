@@ -2,7 +2,9 @@
 
 Every output is a stream of str chunks that `write_atomic` writes as they
 come, so none is held whole; `json_bytes` joins them.  Both graph writers
-read the node and edge streams of `_graph_parts`.
+read the node and edge streams of `_graph_parts`, which they call before
+returning a stream, so an over-cap explicit form is refused before any
+output is opened.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import errno
 import json
 import os
 from collections.abc import Iterable, Iterator
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 from .errors import TooManyElements
@@ -96,17 +98,21 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot_node(v: dict) -> str:
+    label = v["label"] if "label" in v else f"S={v['support']} (w={v['weight']})"
+    return f"  n{v['id']} [label={_quote(label)}];\n"
+
+
 def dot_chunks(G: GraphView, compressed: bool = True) -> Iterator[str]:
-    """The DOT text of a graph form, one line at a time."""
+    """The DOT text of a graph form, one line at a time; an over-cap explicit form raises on the call."""
     nodes, edges = _graph_parts(G, compressed)
     qs = "x".join(str(q) for q in G.ring.qs)
-    yield f"graph {G.kind}_F{qs} {{\n  node [shape=circle];\n"
-    for v in nodes:
-        label = v["label"] if "label" in v else f"S={v['support']} (w={v['weight']})"
-        yield f"  n{v['id']} [label={_quote(label)}];\n"
-    for i, j in edges:
-        yield f"  n{i} -- n{j};\n"
-    yield "}\n"
+    return chain(
+        (f"graph {G.kind}_F{qs} {{\n  node [shape=circle];\n",),
+        map(_dot_node, nodes),
+        (f"  n{i} -- n{j};\n" for i, j in edges),
+        ("}\n",),
+    )
 
 
 def check_target(path: str | Path) -> Path:

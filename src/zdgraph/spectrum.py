@@ -211,8 +211,7 @@ def retract_check(ring: Ring) -> RetractReport:
 
 def is_prime_ideal(ring: Ring, ideal: Ideal) -> bool:
     """I is prime exactly when the quotient is a domain: one missing coordinate."""
-    missing = ring.full_mask & ~ideal.mask
-    return missing != 0 and missing & (missing - 1) == 0
+    return is_singleton(zero_set(ring, ideal))
 
 
 def maximal_annihilating(ring: Ring) -> list[Ideal]:

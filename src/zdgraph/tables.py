@@ -309,22 +309,14 @@ def _split(t: TableRing, zero: int) -> Ring:
         for m in range(1, q):
             cur = add[cur][e]
             multiples[cur] = m
-        if len(multiples) != q or set(multiples) != set(members):
+        if set(multiples) != set(members):
             raise FactorNotField(e)
         factors.append((q, e, multiples))
 
     factors.sort(key=lambda item: (item[0], item[1]))
     qs = tuple(q for q, _, _ in factors)
 
-    iso = []
-    for x in range(n):
-        coords = []
-        for q, e, multiples in factors:
-            part = mul[e][x]
-            if part not in multiples:
-                raise DecompositionMismatch(x)
-            coords.append(multiples[part])
-        iso.append(tuple(coords))
+    iso = [tuple(multiples[mul[e][x]] for _, e, multiples in factors) for x in range(n)]
     if len(set(iso)) != n:
         raise DecompositionMismatch("coordinate map is not injective")
 

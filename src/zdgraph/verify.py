@@ -359,10 +359,6 @@ def _suite_adjacency(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: i
             out.append(_rec("adjacency.ag.generator-scan", orc, scan, _wit(u, v), False))
 
 
-def _support_generator(ring: Ring, mask: int):
-    return ring.element(tuple(1 if (mask >> i) & 1 else 0 for i in range(ring.k)))
-
-
 def _ideal_product_is_zero(ring: Ring, mu: int, mv: int) -> tuple[bool, bool | None]:
     """Whether I_u * I_v = 0, by multiplying generators and by a full scan.
 
@@ -374,12 +370,8 @@ def _ideal_product_is_zero(ring: Ring, mu: int, mv: int) -> tuple[bool, bool | N
     every pair, so the order never changes the answer.
     """
     zero = ring.zero()
-    result = ring.mul(_support_generator(ring, mu), _support_generator(ring, mv)) == zero
-    size = 1
-    for i in iter_bits(mu):
-        size *= ring.qs[i]
-    for i in iter_bits(mv):
-        size *= ring.qs[i]
+    result = ring.mul(vertex_element(ring, Vertex(mu)), vertex_element(ring, Vertex(mv))) == zero
+    size = math.prod(ring.qs[i] for i in iter_bits(mu)) * math.prod(ring.qs[i] for i in iter_bits(mv))
     if size > PRODUCT_SCAN_LIMIT:
         return result, None
     inner = elements_of_ideal(ring, Ideal(mv))[::-1]
@@ -516,18 +508,26 @@ def _suite_girth(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, 
 
 
 def _suite_domination(ring: Ring, Gg: GraphView, Ga: GraphView, seed: int, cap: int, out: list) -> None:
-    k = ring.k
+    """Exact domination numbers against |𝓑(R)|, the abstract's value under its hypotheses.
+
+    On a fixed-place ring dt_t of both graphs is predicted as |𝓑(R)|, and dt of 𝔸𝔾 as |𝓑(R)|
+    when Min(R) has more than two points, else 1.  Off fixed place each prediction is None, so
+    a spectrum fault shows as Violated.
+    """
     tg = domination(Gg, total=True)
     ta = domination(Ga, total=True)
     pg = domination(Gg, total=False)
     pa = domination(Ga, total=False)
     sizes = f"dt(G)={pg.size} dt_t(G)={tg.size} dt(A)={pa.size} dt_t(A)={ta.size}"
 
-    out.append(_rec("domination.total.gamma", k, tg.size, sizes, tg.size == k))
-    out.append(_rec("domination.total.ag", k, ta.size, sizes, ta.size == k))
-    pred_ag = k if k >= 3 else 1
+    fixed = fixed_place_status(ring)[0] is PlaceStatus.FIXED_PLACE
+    many = len(min_primes(ring)) > 2
+    pred_t = len(bourbaki_primes(ring).primes) if fixed else None
+    pred_ag = (pred_t if many else 1) if fixed else None
+    out.append(_rec("domination.total.gamma", pred_t, tg.size, sizes, tg.size == pred_t))
+    out.append(_rec("domination.total.ag", pred_t, ta.size, sizes, ta.size == pred_t))
     out.append(_rec("domination.ag", pred_ag, pa.size, sizes, pa.size == pred_ag))
-    if k >= 3:
+    if many:
         out.append(_rec("domination.gamma-le-ag", True, pg.size <= pa.size, sizes, pg.size <= pa.size))
     else:
         out.append(

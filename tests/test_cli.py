@@ -17,7 +17,7 @@ from zdgraph import (
     girth_through,
     is_triangulated,
 )
-from zdgraph import cli, graphs, rings, spectrum
+from zdgraph import cli, graphs, rings, spectrum, verify
 from zdgraph.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATIONS, main
 from zdgraph.tables import table_to_json, zn_tables
 
@@ -192,6 +192,20 @@ class TestExport:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_explicit_above_cap_never_opens_the_output(self, fmt, capsys, monkeypatch, tmp_path):
+        # the cap is checked when the writer is called, before `write_atomic` opens its temp file
+        opened = []
+        monkeypatch.setattr(cli, "write_atomic", lambda path, chunks: opened.append(path))
+        monkeypatch.setenv("ZDGRAPH_EXPLICIT_CAP", "10")
+        target = tmp_path / f"F.{fmt}"
+        code, out, err = run(
+            capsys, "export", "--zn", "30", "--graph", "gamma", "--explicit", "--format", fmt, "--output", str(target)
+        )
+        assert code == EXIT_RESOURCE
+        assert "resource cap" in err and out == ""
+        assert opened == [] and list(tmp_path.iterdir()) == []
+
     def test_json_graph(self, capsys):
         code, out, _ = run(
             capsys, "export", "--zn", "30", "--graph", "ag", "--format", "json"
@@ -228,6 +242,29 @@ class TestVerify:
             capsys, "verify", "--zn", "6", "--seed", "7", "--registry", str(reg)
         )
         assert code == EXIT_VIOLATIONS
+
+    @pytest.mark.parametrize(
+        "module, prediction", [(verify, 3), (spectrum, None)], ids=["bourbaki-count", "fixed-place"]
+    )
+    def test_domination_predicts_from_the_bourbaki_primes(self, module, prediction, capsys, monkeypatch, tmp_path):
+        # one prime dropped from B(R): read by the suite itself, it predicts 3
+        # against the 4 of Z/210; read by `fixed_place_status`, the ring is not
+        # fixed-place, so nothing is predicted
+        real = spectrum.bourbaki_primes
+
+        def drop_one(ring):
+            b = real(ring)
+            return spectrum.BourbakiSet(b.primes[1:], b.witnesses[1:])
+
+        monkeypatch.setattr(module, "bourbaki_primes", drop_one)
+        path = tmp_path / "r.json"
+        code, _, _ = run(capsys, "verify", "--zn", "210", "--suites", "domination", "--report", str(path), "--quiet")
+        assert code == EXIT_VIOLATIONS
+        records = {r["check_id"]: r for r in json.loads(path.read_text())["records"]}
+        for check_id in ("domination.total.gamma", "domination.total.ag", "domination.ag"):
+            assert records[check_id]["verdict"] == "Violated"
+            assert (records[check_id]["prediction"], records[check_id]["oracle"]) == (prediction, 4)
+        assert records["domination.bound"]["verdict"] == "Confirmed"
 
     def test_unknown_suite_error_lists_the_known_suites(self, capsys):
         # the --suites help names no suite, so the error is where they are listed

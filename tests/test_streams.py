@@ -24,6 +24,7 @@ import pytest
 from zdgraph import PrimeFactors, SquarefreeModulus, build_ag, build_gamma, build_ring, run_verification
 from zdgraph import verify
 from zdgraph.cli import EXIT_OK, main
+from zdgraph.errors import TooManyElements
 from zdgraph.exports import dot_chunks, graph_json_chunks, json_chunks, write_atomic
 
 K10 = "2,3,5,7,11,13,17,19,23,29"
@@ -152,6 +153,15 @@ def test_graph_writers_share_one_layout_and_one_edge_order(spec, build, compress
     assert len(edges) == ((3**k - 2 ** (k + 1) + 1) // 2 if compressed else G.edge_count())
     dot = "".join(dot_chunks(G, compressed)).splitlines()
     assert [line for line in dot if " -- " in line] == [f"  n{i} -- n{j};" for i, j in edges]
+
+
+@pytest.mark.parametrize("writer", [dot_chunks, graph_json_chunks], ids=["dot", "json"])
+def test_over_cap_explicit_form_is_refused_on_the_call(writer, monkeypatch):
+    # refused when called, not at the first chunk, so no caller opens its output first
+    monkeypatch.setenv("ZDGRAPH_EXPLICIT_CAP", "10")
+    G = build_gamma(build_ring(SquarefreeModulus(30)))
+    with pytest.raises(TooManyElements):
+        writer(G, compressed=False)
 
 
 def _items(values):
